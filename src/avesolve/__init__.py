@@ -18,7 +18,6 @@ from .linalg import (
     estimate_inv_norm,
     factorize,
     matvec,
-    solve_with_factor,
 )
 from .params import (
     ParamEnvelope,

@@ -235,7 +235,7 @@ def cmd_bench(args) -> int:
     rows = []
     for prob_name, problem in jobs:
         f = factorize(problem.A)
-        nu = estimate_inv_norm(problem.A)
+        nu = estimate_inv_norm(problem.A, f=f)
         env = ParamEnvelope.from_nu(nu)
         base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
         for label, method, pick in BENCH_ROWS:

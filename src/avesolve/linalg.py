@@ -34,6 +34,8 @@ class SparseSpdMatrix:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    # The validated scipy form of the same arrays, built once.
+    csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
@@ -52,19 +54,17 @@ class SparseSpdMatrix:
             raise DomainError("col_idx and values must have equal length")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= self.n):
             raise DomainError("column indices out of range")
-        for i in range(self.n):
-            cols = col_idx[row_ptr[i]:row_ptr[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise DomainError(f"column indices not strictly increasing in row {i}")
-        csr = self._as_scipy()
+        rows = np.repeat(np.arange(self.n), np.diff(row_ptr))
+        bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
+        if bad.any():
+            raise DomainError(f"column indices not strictly increasing in row {rows[1:][bad][0]}")
+        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(self.n, self.n))
         if (csr != csr.T).nnz != 0:
             raise DomainError("stored pattern/values are not symmetric")
         diag = csr.diagonal()
         if np.any(diag <= 0):
             raise DomainError("every diagonal entry must be stored and positive")
-
-    def _as_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
+        object.__setattr__(self, "csr", csr)
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
@@ -79,7 +79,7 @@ class SparseSpdMatrix:
         return cls.from_scipy(np.asarray(arr, dtype=np.float64))
 
     def to_dense(self) -> np.ndarray:
-        return self._as_scipy().toarray()
+        return self.csr.toarray()
 
     @property
     def bandwidth(self) -> int:
@@ -96,23 +96,29 @@ class FactorHandle:
     _lu: object | None = field(default=None, repr=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape != (self.n,):
-            raise DimensionMismatch(f"right-hand side has length {r.shape}, expected ({self.n},)")
+        """Solve A z = r for a vector r, or for every row of a p x n block r."""
+        r = _vector_or_rows(r, self.n, "right-hand side")
+        # A C-ordered p x n block transposes, without a copy, into the
+        # Fortran-ordered n x p multi-RHS array that LAPACK expects.
         if self._band is not None:
-            z, info = dpbtrs(self._band, r, lower=1)
+            z, info = dpbtrs(self._band, r.T, lower=1)
             if info != 0:
                 raise ConvergenceFailure(f"banded triangular solve failed (info={info})")
-            return z
-        return self._lu.solve(r)
+            return z.T
+        return self._lu.solve(r.T).T
+
+
+def _vector_or_rows(v, n: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
+        raise DimensionMismatch(f"{what} has shape {v.shape}, expected ({n},) or (p, {n})")
+    return v
 
 
 def matvec(A: SparseSpdMatrix, x: np.ndarray) -> np.ndarray:
-    """Product A @ x per CSR semantics."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n,):
-        raise DimensionMismatch(f"vector has shape {x.shape}, expected ({A.n},)")
-    return A._as_scipy() @ x
+    """Product A @ x for a vector x, or A @ x_i for every row x_i of a p x n block."""
+    x = _vector_or_rows(x, A.n, "vector")
+    return (A.csr @ x.T).T
 
 
 def factorize(A: SparseSpdMatrix) -> FactorHandle:
@@ -133,13 +139,8 @@ def factorize(A: SparseSpdMatrix) -> FactorHandle:
             raise ConvergenceFailure(f"dpbtrf illegal argument (info={info})")
         return FactorHandle(A.n, _band=c)
     # Wide-band fallback (e.g. Trefethen_20000b): sparse LU.
-    lu = splu(sp.csc_matrix(A._as_scipy()))
+    lu = splu(A.csr.tocsc())
     return FactorHandle(A.n, _lu=lu)
-
-
-def solve_with_factor(f: FactorHandle, r: np.ndarray) -> np.ndarray:
-    """Solve A z = r via a prior factorization."""
-    return f.solve(r)
 
 
 def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
@@ -149,7 +150,9 @@ def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
     return SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, values)
 
 
-def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, max_sweeps: int = 10_000) -> float:
+def estimate_inv_norm(
+    A: SparseSpdMatrix, tol: float = 1e-8, max_sweeps: int = 10_000, f: FactorHandle | None = None
+) -> float:
     """Estimate nu = ||A^{-1}||_2 = 1/lambda_min(A) for SPD A.
 
     Inverse power iteration with a deterministic all-ones start. The
@@ -158,10 +161,16 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, max_sweeps: int = 1
     met (clustered smallest eigenvalues), iteration restarts on a shifted
     factorization A - sigma*I with sigma just below the current estimate,
     which restores a fast contraction rate.
+
+    f, when given, is a factorization of A itself that the unshifted sweeps
+    reuse instead of factorizing A again.
     """
     if not 0 < tol < 1:
         raise DomainError("tol must lie in (0, 1)")
-    f = factorize(A)
+    if f is None:
+        f = factorize(A)
+    elif f.n != A.n:
+        raise DimensionMismatch("factorization dimension differs from matrix dimension")
     v = np.ones(A.n) / np.sqrt(A.n)
     lam_prev = np.inf
     for _ in range(max_sweeps):

@@ -151,7 +151,7 @@ def load_matrix_market(path) -> SparseSpdMatrix:
 
 def save_matrix_market(A: SparseSpdMatrix, path) -> None:
     """Write the lower triangle as coordinate real symmetric, 1-based."""
-    coo = A._as_scipy().tocoo()
+    coo = A.csr.tocoo()
     keep = coo.row >= coo.col
     r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
     order = np.lexsort((r, c))

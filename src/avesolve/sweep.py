@@ -1,4 +1,10 @@
-"""Grid search for numerically optimal parameters and convergence-domain data."""
+"""Grid search for numerically optimal parameters and convergence-domain data.
+
+The sweep runs every grid point as one column of a single block iteration
+(:func:`avesolve.solvers.iterate_block`): each step does one multi-RHS
+factor-solve for all running columns, and each column stops on its own when
+it converges, diverges or reaches k_max.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NoConvergentParameter
+from .errors import DomainError, NoConvergentParameter
 from .linalg import FactorHandle, factorize
 from .params import range_fpi_new, range_fpi_old, range_sor_new
 from .problems import AveProblem
-from .solvers import SolveConfig, solve_fpi, solve_sor_like
+from .solvers import SolveConfig, iterate_block
 
 
 def default_grid() -> np.ndarray:
@@ -36,6 +42,7 @@ def grid_search(
 ) -> SweepResult:
     """Run the chosen solver at every grid point from zero starting vectors.
 
+    All grid points run together as the columns of one block iteration.
     best_param is the first grid point attaining the minimal iteration count.
     """
     if method not in ("sor", "fpi"):
@@ -43,22 +50,15 @@ def grid_search(
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     if len(grid) == 0:
         raise DomainError("grid must be nonempty")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly ascending and positive")
+    if not np.all(np.isfinite(grid)) or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be finite, positive and strictly ascending")
     base = cfg if cfg is not None else SolveConfig(parameter=1.0)
     if f is None:
         f = factorize(problem.A)
-    solver = solve_sor_like if method == "sor" else solve_fpi
+    zeros = np.zeros(problem.n)
+    stops = iterate_block(problem, f, method, grid, base.tol, base.k_max, zeros, zeros)
     sentinel = base.k_max + 1
-    its = np.full(len(grid), sentinel, dtype=np.int64)
-    for idx, p in enumerate(grid):
-        run_cfg = SolveConfig(parameter=float(p), tol=base.tol, k_max=base.k_max)
-        try:
-            report = solver(problem, f, run_cfg)
-        except DivergenceError:
-            continue
-        if report.converged:
-            its[idx] = report.iterations
+    its = np.where(stops.converged, stops.iterations, sentinel)
     if np.all(its == sentinel):
         raise NoConvergentParameter("no grid point converged")
     min_it = int(its.min())

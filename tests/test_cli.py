@@ -40,6 +40,13 @@ class TestSolve:
         rec = json.loads(r.stdout)
         assert rec["converged"] is True
 
+    @pytest.mark.parametrize("flag", ["--param", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exit_1(self, flag, value):
+        r = run_cli("solve", "--lattice", "4", "--method", "fpi", flag, value)
+        assert r.returncode == 1
+        assert "error" in r.stderr
+
     def test_bad_matrix_path_exit_1(self):
         r = run_cli("solve", "--matrix", "/nonexistent.mtx", "--method", "sor",
                     "--param", "1.0")

@@ -11,7 +11,6 @@ from avesolve import (
     factorize,
     gen_lattice,
     matvec,
-    solve_with_factor,
 )
 from conftest import dense_inv_norm, random_spd
 
@@ -37,6 +36,24 @@ class TestSparseSpdMatrix:
         with pytest.raises(DomainError):
             SparseSpdMatrix(2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "row_ptr, col_idx, row",
+        [
+            ([0, 1, 3, 4], [0, 1, 1, 2], 1),  # repeated column
+            ([0, 2, 4, 5], [0, 1, 1, 0, 2], 1),  # descending columns
+            ([0, 1, 1, 3], [0, 2, 2], 2),  # after an empty row
+        ],
+    )
+    def test_rejects_unsorted_columns_naming_first_row(self, row_ptr, col_idx, row):
+        values = np.ones(len(col_idx))
+        with pytest.raises(DomainError, match=f"not strictly increasing in row {row}$"):
+            SparseSpdMatrix(3, np.array(row_ptr), np.array(col_idx), values)
+
+    def test_holds_validated_csr(self):
+        A = gen_lattice(3).A
+        assert A.csr is A.csr
+        assert np.array_equal(A.csr.toarray(), A.to_dense())
+
     def test_round_trips_dense(self):
         A = np.array([[4.0, 1.0], [1.0, 4.0]])
         assert np.array_equal(SparseSpdMatrix.from_dense(A).to_dense(), A)
@@ -54,6 +71,13 @@ class TestMatvec:
     def test_lattice_row_sums(self):
         A = gen_lattice(2).A
         assert np.array_equal(matvec(A, np.ones(4)), np.full(4, 6.0))
+
+    def test_block_rows_match_vectors(self):
+        A = gen_lattice(4).A
+        X = np.random.default_rng(1).standard_normal((5, A.n))
+        AX = matvec(A, X)
+        for x, ax in zip(X, AX):
+            assert np.array_equal(matvec(A, x), ax)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -74,11 +98,11 @@ class TestMatvec:
 class TestFactorize:
     def test_diagonal(self):
         f = factorize(SparseSpdMatrix.from_dense(np.diag([4.0, 9.0])))
-        assert np.allclose(solve_with_factor(f, [4.0, 9.0]), [1.0, 1.0], atol=1e-14)
+        assert np.allclose(f.solve([4.0, 9.0]), [1.0, 1.0], atol=1e-14)
 
     def test_two_by_two(self):
         f = factorize(SparseSpdMatrix.from_dense([[4.0, 1.0], [1.0, 4.0]]))
-        assert np.allclose(solve_with_factor(f, [5.0, 5.0]), [1.0, 1.0], atol=1e-14)
+        assert np.allclose(f.solve([5.0, 5.0]), [1.0, 1.0], atol=1e-14)
 
     def test_not_positive_definite_names_pivot(self):
         A = SparseSpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
@@ -89,14 +113,25 @@ class TestFactorize:
     def test_lattice_rhs_residual(self):
         problem = gen_lattice(8)
         f = factorize(problem.A)
-        z = solve_with_factor(f, problem.b)
+        z = f.solve(problem.b)
         res = np.linalg.norm(matvec(problem.A, z) - problem.b)
         assert res <= 1e-12 * np.linalg.norm(problem.b)
 
     def test_solve_dimension_mismatch(self):
         f = factorize(SparseSpdMatrix.from_dense(np.diag([2.0, 4.0])))
         with pytest.raises(DimensionMismatch):
-            solve_with_factor(f, np.ones(3))
+            f.solve(np.ones(3))
+
+    def test_block_rows_match_vectors(self):
+        problem = gen_lattice(4)
+        f = factorize(problem.A)
+        R = np.random.default_rng(2).standard_normal((5, problem.n))
+        Z = f.solve(R)
+        assert Z.shape == R.shape
+        for r, z in zip(R, Z):
+            assert np.array_equal(f.solve(r), z)
+        with pytest.raises(DimensionMismatch):
+            f.solve(np.ones((2, problem.n + 1)))
 
     def test_round_trip_random_spd(self):
         rng = np.random.default_rng(42)
@@ -105,7 +140,7 @@ class TestFactorize:
             A = SparseSpdMatrix.from_dense(random_spd(rng, n))
             f = factorize(A)
             r = rng.standard_normal(n)
-            z = solve_with_factor(f, r)
+            z = f.solve(r)
             assert np.linalg.norm(matvec(A, z) - r) <= 1e-12 * np.linalg.norm(r)
 
 
@@ -120,6 +155,12 @@ class TestEstimateInvNorm:
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             estimate_inv_norm(gen_lattice(2).A, tol=2.0)
+
+    def test_reuses_given_factor(self):
+        A = gen_lattice(8).A
+        assert estimate_inv_norm(A, f=factorize(A)) == estimate_inv_norm(A)
+        with pytest.raises(DimensionMismatch):
+            estimate_inv_norm(A, f=factorize(gen_lattice(2).A))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)

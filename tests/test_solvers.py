@@ -63,6 +63,13 @@ class TestSolveConfig:
         with pytest.raises(DomainError):
             SolveConfig(parameter=1.0, tol=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(DomainError):
+            SolveConfig(parameter=value)
+        with pytest.raises(DomainError):
+            SolveConfig(parameter=1.0, tol=value)
+
 
 class TestSorLike:
     def test_lattice8_table2(self, lattice8):

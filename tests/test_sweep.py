@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avesolve import (
+    DivergenceError,
     DomainError,
     NoConvergentParameter,
     SolveConfig,
@@ -13,7 +14,10 @@ from avesolve import (
     grid_search,
     range_sor_new,
     rho_W,
+    solve_fpi,
+    solve_sor_like,
 )
+from avesolve import solvers
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,31 @@ class TestGridSearch:
             grid_search(p, "sor", grid=np.array([]), f=f)
         with pytest.raises(DomainError):
             grid_search(p, "bogus", f=f)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                grid_search(p, "fpi", grid=np.array([0.5, bad]), f=f)
+
+    @pytest.mark.parametrize("method", ["sor", "fpi"])
+    @pytest.mark.parametrize("chunk_columns", [None, 3])
+    def test_matches_per_point_solves(self, lattice8, monkeypatch, method, chunk_columns):
+        # 0.05..1.95 and 1.99 converge or run to k_max; 1e4 overflows to inf.
+        p, f = lattice8
+        grid = np.append(np.round(np.arange(1, 40) * 0.05, 2), [1.99, 1e4])
+        solver = solve_sor_like if method == "sor" else solve_fpi
+        expected, diverged = [], []
+        for param in grid:
+            try:
+                report = solver(p, f, SolveConfig(parameter=float(param)))
+            except DivergenceError:
+                diverged.append(param)
+                expected.append(101)
+                continue
+            expected.append(report.iterations if report.converged else 101)
+        assert diverged == [1e4] and 101 in expected[:-1]
+        if chunk_columns is not None:
+            monkeypatch.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * p.n)
+        result = grid_search(p, method, grid=grid, f=f)
+        assert result.iterations.tolist() == expected
 
 
 class TestDomainCurves:
