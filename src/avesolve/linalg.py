@@ -1,9 +1,19 @@
 """Sparse SPD matrix storage, Cholesky factorization and inverse-norm estimation.
 
-Matrices are held in full-symmetric CSR (both triangles stored). Factorization
-is banded Cholesky without reordering; every tested matrix is small or
-narrow-banded, so fill-reducing orderings would buy nothing. For matrices
-whose band profile would not fit in memory a sparse LU fallback is used.
+Matrices are held in full-symmetric CSR (both triangles stored).
+:func:`factorize` takes one of two branches, and both reject every matrix
+that is not SPD with :class:`NotPositiveDefinite`:
+
+- banded Cholesky (LAPACK ``dpbtrf``) in the given order, when the band
+  storage of A fits in ``_BAND_STORAGE_LIMIT`` doubles;
+- otherwise SuperLU with a minimum-degree ordering applied symmetrically and
+  only diagonal pivots, so that its U diagonal is the D of P A P^T = L D L^T,
+  which is positive exactly when A is SPD.
+
+The band wins while the band is narrow or mostly nonzero (lattices up to
+m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
+wide band would be fill (lattice 256, whose 135 MB band it factors about
+1.7x and solves about 4x faster; see CHANGES.md for the crossover table).
 """
 
 from __future__ import annotations
@@ -17,17 +27,21 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceFailure, DimensionMismatch, DomainError, NotPositiveDefinite
 
-# Band storage above this many doubles falls back to sparse LU.
-_BAND_STORAGE_LIMIT = 40_000_000
+# Band storage (bandwidth + 1) * n above this many doubles (a 64 MiB band) is
+# factorized by SuperLU instead. On the measured crossover the two branches tie
+# from lattice 128 (2.1M) to lattice 181 (6.0M); SuperLU is ahead at lattice
+# 256 (16.8M) and about 10x behind on Trefethen_4000b (8.2M), which this keeps
+# on the band.
+_BAND_STORAGE_LIMIT = 2**23
 
 
 @dataclass(frozen=True)
 class SparseSpdMatrix:
     """Symmetric positive-definite matrix in CSR form, both triangles stored.
 
-    Positive diagonal and structural/value symmetry are checked on
-    construction; full positive definiteness is only established by a
-    successful :func:`factorize`.
+    Finite values, positive diagonal and structural/value symmetry are
+    checked on construction; full positive definiteness is only established
+    by a successful :func:`factorize`.
     """
 
     n: int
@@ -36,6 +50,8 @@ class SparseSpdMatrix:
     values: np.ndarray
     # The validated scipy form of the same arrays, built once.
     csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    # The row index of every stored entry, aligned with col_idx and values.
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
@@ -54,6 +70,8 @@ class SparseSpdMatrix:
             raise DomainError("col_idx and values must have equal length")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= self.n):
             raise DomainError("column indices out of range")
+        if not np.isfinite(values).all():
+            raise DomainError("matrix values must be finite")
         rows = np.repeat(np.arange(self.n), np.diff(row_ptr))
         bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
         if bad.any():
@@ -65,6 +83,7 @@ class SparseSpdMatrix:
         if np.any(diag <= 0):
             raise DomainError("every diagonal entry must be stored and positive")
         object.__setattr__(self, "csr", csr)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
@@ -83,8 +102,7 @@ class SparseSpdMatrix:
 
     @property
     def bandwidth(self) -> int:
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
-        return int(np.abs(rows - self.col_idx).max()) if len(self.col_idx) else 0
+        return int(np.abs(self.rows - self.col_idx).max()) if len(self.col_idx) else 0
 
 
 @dataclass(frozen=True)
@@ -122,31 +140,84 @@ def matvec(A: SparseSpdMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def factorize(A: SparseSpdMatrix) -> FactorHandle:
-    """Cholesky-factorize A once for repeated solves.
+    """Factorize A once for repeated solves, on the branch its band storage selects.
 
     Raises NotPositiveDefinite naming the failing pivot when A is not SPD.
     """
     bw = A.bandwidth
     if (bw + 1) * A.n <= _BAND_STORAGE_LIMIT:
         dense_band = np.zeros((bw + 1, A.n))
-        rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
-        lower = rows >= A.col_idx
-        dense_band[rows[lower] - A.col_idx[lower], A.col_idx[lower]] = A.values[lower]
+        lower = A.rows >= A.col_idx
+        dense_band[A.rows[lower] - A.col_idx[lower], A.col_idx[lower]] = A.values[lower]
         c, info = dpbtrf(dense_band, lower=1)
         if info > 0:
             raise NotPositiveDefinite(info - 1)
         if info < 0:
             raise ConvergenceFailure(f"dpbtrf illegal argument (info={info})")
         return FactorHandle(A.n, _band=c)
-    # Wide-band fallback (e.g. Trefethen_20000b): sparse LU.
-    lu = splu(A.csr.tocsc())
-    return FactorHandle(A.n, _lu=lu)
+    return FactorHandle(A.n, _lu=_spd_lu(A))
+
+
+def _symmetric_splu(M: sp.spmatrix, permc_spec: str):
+    # With a zero threshold and SymmetricMode, SuperLU takes every pivot from
+    # the diagonal of the symmetrically permuted matrix unless it is exactly 0.
+    return splu(M.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def _first_bad_pivot(lu) -> int | None:
+    """Elimination position of the first pivot that is not a positive diagonal one, or None."""
+    bad = np.flatnonzero(~(lu.U.diagonal() > 0))[:1]
+    # A zero diagonal pivot at position j made SuperLU take an off-diagonal
+    # one; the rows it swapped have perm_r != perm_c, and j is the least of
+    # their perm_c entries.
+    swapped = lu.perm_c[lu.perm_r != lu.perm_c]
+    positions = np.concatenate([bad, swapped])
+    return int(positions.min()) if len(positions) else None
+
+
+def _spd_lu(A: SparseSpdMatrix):
+    """SuperLU factor of A, checked to be P A P^T = L D L^T with D > 0."""
+    try:
+        lu = _symmetric_splu(A.csr, "MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise NotPositiveDefinite(_singular_pivot(A)) from None
+    j = _first_bad_pivot(lu)
+    if j is not None:
+        # Column i of A is eliminated at position perm_c[i].
+        raise NotPositiveDefinite(int(np.flatnonzero(lu.perm_c == j)[0]))
+    return lu
+
+
+def _singular_pivot(A: SparseSpdMatrix) -> int:
+    """Index of the zero pivot at which SuperLU found A exactly singular.
+
+    SuperLU does not say where it stopped. Its ordering depends on the
+    pattern alone, so it is taken from a diagonally dominant matrix with the
+    pattern of A; the failing pivot is then found by bisection as the first
+    position whose leading block, in that order, does not factorize with
+    positive diagonal pivots. This costs about log2(n) factorizations, on an
+    error path only.
+    """
+    dominant = A.csr.copy()
+    dominant.data = np.where(A.rows == A.col_idx, float(A.n), -1.0)
+    order = np.argsort(_symmetric_splu(dominant, "MMD_AT_PLUS_A").perm_c)
+    C = A.csr[order][:, order]
+    lo, hi = 0, A.n  # the leading lo x lo block factorizes, the hi x hi block does not
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        try:
+            ok = _first_bad_pivot(_symmetric_splu(C[:k, :k], "NATURAL")) is None
+        except RuntimeError:
+            ok = False
+        lo, hi = (k, hi) if ok else (lo, k)
+    return int(order[lo])
 
 
 def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
     values = A.values.copy()
-    rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
-    values[rows == A.col_idx] -= sigma
+    values[A.rows == A.col_idx] -= sigma
     return SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, values)
 
 

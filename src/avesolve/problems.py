@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, ParseError, SymmetryError
+from .errors import DimensionMismatch, DomainError, ParseError, SymmetryError
 from .linalg import SparseSpdMatrix, matvec
 
 
@@ -24,11 +24,15 @@ class AveProblem:
         object.__setattr__(self, "b", b)
         if b.shape != (self.A.n,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.A.n},)")
+        if not np.isfinite(b).all():
+            raise DomainError("b must be finite")
         if self.x_star is not None:
             xs = np.asarray(self.x_star, dtype=np.float64)
             object.__setattr__(self, "x_star", xs)
             if xs.shape != (self.A.n,):
                 raise DimensionMismatch("x_star length differs from dimension")
+            if not np.isfinite(xs).all():
+                raise DomainError("x_star must be finite")
 
     @property
     def n(self) -> int:

@@ -44,6 +44,9 @@ class SolveConfig:
             raise DomainError("tol must be positive and finite")
         if self.k_max < 1:
             raise DomainError("k_max must be at least 1")
+        for v in (self.x0, self.y0):
+            if v is not None and not np.isfinite(np.asarray(v, dtype=np.float64)).all():
+                raise DomainError("initial vectors must be finite")
 
     def initial_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=np.float64)

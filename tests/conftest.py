@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from avesolve import SparseSpdMatrix, matvec, solve_fpi, solve_sor_like
+from avesolve import SparseSpdMatrix, linalg, matvec, solve_fpi, solve_sor_like
 
 
 def first_primes(k):
@@ -87,3 +87,9 @@ def tref20b():
 @pytest.fixture(scope="session")
 def tref200b():
     return trefethen_b(200)
+
+
+@pytest.fixture
+def sparse_branch(monkeypatch):
+    """Route every factorization to the SuperLU branch of factorize."""
+    monkeypatch.setattr(linalg, "_BAND_STORAGE_LIMIT", 0)

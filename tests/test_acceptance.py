@@ -91,6 +91,14 @@ def test_criterion_3_equivalence_at_optimum(tref20b):
     report(3, True, "(SOR(w=1) and FPI(t=1) histories bit-identical)")
 
 
+@pytest.mark.usefixtures("sparse_branch")
+def test_criteria_2_3_on_sparse_branch(tref20b):
+    """Table 2 and the SOR(w=1) = FPI(t=1) bit-identity again, with every
+    factorization on the SuperLU branch."""
+    test_criterion_2_table2_iteration_counts()
+    test_criterion_3_equivalence_at_optimum(tref20b)
+
+
 def test_criterion_4_spectral_radius_oracle():
     t0 = time.perf_counter()
     params = np.linspace(0.02, 1.98, 100)

@@ -1,10 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import avesolve
 from avesolve import gen_lattice, save_matrix_market
+
+# The child process imports the same avesolve as this one, installed or not.
+_SRC = str(Path(avesolve.__file__).parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
@@ -13,6 +20,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=300,
+        env=CHILD_ENV,
     )
 
 
@@ -52,6 +60,13 @@ class TestSolve:
                     "--param", "1.0")
         assert r.returncode == 1
         assert "error" in r.stderr
+
+    def test_non_finite_matrix_entry_exit_1(self, tmp_path):
+        f = tmp_path / "inf.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 inf\n2 2 1\n")
+        r = run_cli("solve", "--matrix", str(f), "--method", "sor", "--param", "optimal")
+        assert r.returncode == 1
+        assert "matrix values must be finite" in r.stderr
 
     def test_matrix_problem(self, tmp_path, tref20b):
         f = tmp_path / "Trefethen_20b.mtx"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avesolve import (
     ConvergenceFailure,
@@ -10,6 +13,7 @@ from avesolve import (
     estimate_inv_norm,
     factorize,
     gen_lattice,
+    linalg,
     matvec,
 )
 from conftest import dense_inv_norm, random_spd
@@ -31,6 +35,13 @@ class TestSparseSpdMatrix:
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(DomainError):
             SparseSpdMatrix.from_dense([[0.0, 1.0], [1.0, 4.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            SparseSpdMatrix.from_dense([[value, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="finite"):
+            SparseSpdMatrix.from_dense([[4.0, value], [value, 4.0]])
 
     def test_rejects_bad_row_ptr(self):
         with pytest.raises(DomainError):
@@ -110,6 +121,21 @@ class TestFactorize:
             factorize(A)
         assert exc.value.pivot_index == 1
 
+    @pytest.mark.parametrize(
+        "dense, lambda_min",
+        [
+            # Lattice 8 shifted down: positive diagonal, yet indefinite.
+            (gen_lattice(8).A.to_dense() - 4.93 * np.eye(64), -0.69),
+            (np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0),
+        ],
+        ids=["lattice8_shifted", "singular"],
+    )
+    def test_rejects_non_spd_with_pivot_in_range(self, dense, lambda_min):
+        assert np.linalg.eigvalsh(dense)[0] == pytest.approx(lambda_min, abs=5e-3)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            factorize(SparseSpdMatrix.from_dense(dense))
+        assert 0 <= exc.value.pivot_index < len(dense)
+
     def test_lattice_rhs_residual(self):
         problem = gen_lattice(8)
         f = factorize(problem.A)
@@ -144,6 +170,56 @@ class TestFactorize:
             assert np.linalg.norm(matvec(A, z) - r) <= 1e-12 * np.linalg.norm(r)
 
 
+@pytest.mark.usefixtures("sparse_branch")
+class TestFactorizeSparse(TestFactorize):
+    """Every TestFactorize case again, on the SuperLU branch of factorize."""
+
+    def test_not_positive_definite_names_pivot(self):
+        # SuperLU picks which column to eliminate first; the second pivot,
+        # 1 - 4 = -3 either way, is the one that fails.
+        with pytest.raises(NotPositiveDefinite) as exc:
+            factorize(SparseSpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+        assert exc.value.pivot_index in (0, 1)
+
+    def test_takes_superlu_branch(self):
+        f = factorize(gen_lattice(4).A)
+        assert f._band is None and f._lu is not None
+
+
+def _symmetric_positive_diagonal(M):
+    S = (M + M.T) / 2
+    np.fill_diagonal(S, np.abs(np.diag(S)) + 0.05)
+    return S
+
+
+small_symmetric = st.integers(2, 8).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+).map(_symmetric_positive_diagonal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_symmetric)
+def test_both_branches_agree_on_spd_and_reject_indefinite(dense):
+    eig = np.linalg.eigvalsh(dense)  # eig[-1] > 0: the diagonal is positive
+    spd = eig[0] > 1e-3 * eig[-1]
+    assume(spd or eig[0] < -1e-8 * eig[-1])
+    A = SparseSpdMatrix.from_dense(dense)
+    r = np.arange(1.0, A.n + 1)
+    solves = []
+    for limit in (linalg._BAND_STORAGE_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BAND_STORAGE_LIMIT", limit)
+            if spd:
+                solves.append(factorize(A).solve(r))
+            else:
+                with pytest.raises(NotPositiveDefinite) as exc:
+                    factorize(A)
+                assert 0 <= exc.value.pivot_index < A.n
+    if spd:
+        band, lu = solves
+        assert np.linalg.norm(band - lu) <= 1e-10 * np.linalg.norm(band)
+
+
 class TestEstimateInvNorm:
     def test_identity(self):
         A = SparseSpdMatrix.from_dense(np.eye(5) * 1.0)
@@ -162,11 +238,16 @@ class TestEstimateInvNorm:
         with pytest.raises(DimensionMismatch):
             estimate_inv_norm(A, f=factorize(gen_lattice(2).A))
 
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, tref20b):
         rng = np.random.default_rng(3)
-        matrices = [gen_lattice(m).A for m in (2, 3, 8, 12)]
+        matrices = [gen_lattice(m).A for m in (2, 3, 8, 12)] + [tref20b]
         matrices += [SparseSpdMatrix.from_dense(random_spd(rng, n)) for n in (5, 40, 120)]
         for A in matrices:
             assert A.n <= 200
             nu = estimate_inv_norm(A)
             assert abs(nu - dense_inv_norm(A)) <= 1e-6 * dense_inv_norm(A)
+
+
+@pytest.mark.usefixtures("sparse_branch")
+class TestEstimateInvNormSparse(TestEstimateInvNorm):
+    """Every TestEstimateInvNorm case again, with every factorization on the SuperLU branch."""

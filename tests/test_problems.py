@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avesolve import (
+    AveProblem,
     DimensionMismatch,
     DomainError,
     ParseError,
@@ -73,6 +74,16 @@ class TestGenLattice:
     def test_known_solution_satisfies_equation(self):
         p = gen_lattice(4)
         assert residual(p, p.x_star) <= 1e-14
+
+
+class TestAveProblem:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        A = gen_lattice(2).A
+        with pytest.raises(DomainError, match="b must be finite"):
+            AveProblem(A, [value, 1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="x_star must be finite"):
+            AveProblem(A, np.ones(4), [1.0, value, 1.0, 1.0])
 
 
 class TestBuildRhs:
@@ -163,6 +174,15 @@ class TestMatrixMarket:
             ],
         )
         assert load_matrix_market(f).to_dense() == np.array([[8.0]])
+
+    def test_inf_entry_rejected(self, tmp_path):
+        f = tmp_path / "inf.mtx"
+        write_lines(
+            f,
+            ["%%MatrixMarket matrix coordinate real symmetric", "2 2 2", "1 1 inf", "2 2 1"],
+        )
+        with pytest.raises(DomainError, match="finite"):
+            load_matrix_market(f)
 
     def test_malformed_header(self, tmp_path):
         f = tmp_path / "h.mtx"

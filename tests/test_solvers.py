@@ -69,6 +69,10 @@ class TestSolveConfig:
             SolveConfig(parameter=value)
         with pytest.raises(DomainError):
             SolveConfig(parameter=1.0, tol=value)
+        with pytest.raises(DomainError):
+            SolveConfig(parameter=1.0, x0=[0.0, value])
+        with pytest.raises(DomainError):
+            SolveConfig(parameter=1.0, y0=[value, 0.0])
 
 
 class TestSorLike:
