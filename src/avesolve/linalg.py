@@ -10,10 +10,17 @@ that is not SPD with :class:`NotPositiveDefinite`:
   only diagonal pivots, so that its U diagonal is the D of P A P^T = L D L^T,
   which is positive exactly when A is SPD.
 
+On both branches a pivot at or below n*eps times its diagonal entry counts as
+not positive, so a matrix singular to working precision is rejected too.
+
 The band wins while the band is narrow or mostly nonzero (lattices up to
 m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
 wide band would be fill (lattice 256, whose 135 MB band it factors about
 1.7x and solves about 4x faster; see CHANGES.md for the crossover table).
+
+:func:`estimate_inv_norm` finds nu = ||A^{-1}||_2 by shifted inverse power
+iteration whose first shift, when positive, is the Gershgorin lower bound on
+lambda_min(A); the paper's lattice problems then need one factorization.
 """
 
 from __future__ import annotations
@@ -154,8 +161,21 @@ def factorize(A: SparseSpdMatrix) -> FactorHandle:
             raise NotPositiveDefinite(info - 1)
         if info < 0:
             raise ConvergenceFailure(f"dpbtrf illegal argument (info={info})")
+        # The pivots of L D L^T are the squares of the diagonal of L.
+        tiny = np.flatnonzero(c[0] ** 2 <= _pivot_floor(dense_band[0]))[:1]
+        if len(tiny):
+            raise NotPositiveDefinite(int(tiny[0]))
         return FactorHandle(A.n, _band=c)
     return FactorHandle(A.n, _lu=_spd_lu(A))
+
+
+def _pivot_floor(diag: np.ndarray) -> np.ndarray:
+    """Least accepted pivot for each diagonal entry: n*eps times the entry.
+
+    A matrix singular to working precision can leave rounding-sized positive
+    pivots; below this floor a pivot is treated as not positive.
+    """
+    return len(diag) * np.finfo(np.float64).eps * diag
 
 
 def _symmetric_splu(M: sp.spmatrix, permc_spec: str):
@@ -164,9 +184,16 @@ def _symmetric_splu(M: sp.spmatrix, permc_spec: str):
     return splu(M.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _first_bad_pivot(lu) -> int | None:
-    """Elimination position of the first pivot that is not a positive diagonal one, or None."""
-    bad = np.flatnonzero(~(lu.U.diagonal() > 0))[:1]
+def _first_bad_pivot(lu, floor: np.ndarray) -> int | None:
+    """Elimination position of the first pivot that is not a diagonal one above its floor, or None.
+
+    floor holds the least accepted pivot of each column, in the factorized
+    matrix's own order.
+    """
+    # Column i is eliminated at position perm_c[i].
+    floor_at = np.empty_like(floor)
+    floor_at[lu.perm_c] = floor
+    bad = np.flatnonzero(~(lu.U.diagonal() > floor_at))[:1]
     # A zero diagonal pivot at position j made SuperLU take an off-diagonal
     # one; the rows it swapped have perm_r != perm_c, and j is the least of
     # their perm_c entries.
@@ -183,7 +210,7 @@ def _spd_lu(A: SparseSpdMatrix):
         if "singular" not in str(exc):
             raise
         raise NotPositiveDefinite(_singular_pivot(A)) from None
-    j = _first_bad_pivot(lu)
+    j = _first_bad_pivot(lu, _pivot_floor(A.csr.diagonal()))
     if j is not None:
         # Column i of A is eliminated at position perm_c[i].
         raise NotPositiveDefinite(int(np.flatnonzero(lu.perm_c == j)[0]))
@@ -197,18 +224,19 @@ def _singular_pivot(A: SparseSpdMatrix) -> int:
     pattern alone, so it is taken from a diagonally dominant matrix with the
     pattern of A; the failing pivot is then found by bisection as the first
     position whose leading block, in that order, does not factorize with
-    positive diagonal pivots. This costs about log2(n) factorizations, on an
-    error path only.
+    diagonal pivots above their floor. This costs about log2(n)
+    factorizations, on an error path only.
     """
     dominant = A.csr.copy()
     dominant.data = np.where(A.rows == A.col_idx, float(A.n), -1.0)
     order = np.argsort(_symmetric_splu(dominant, "MMD_AT_PLUS_A").perm_c)
     C = A.csr[order][:, order]
+    floor = _pivot_floor(C.diagonal())
     lo, hi = 0, A.n  # the leading lo x lo block factorizes, the hi x hi block does not
     while hi - lo > 1:
         k = (lo + hi) // 2
         try:
-            ok = _first_bad_pivot(_symmetric_splu(C[:k, :k], "NATURAL")) is None
+            ok = _first_bad_pivot(_symmetric_splu(C[:k, :k], "NATURAL"), floor[:k]) is None
         except RuntimeError:
             ok = False
         lo, hi = (k, hi) if ok else (lo, k)
@@ -221,30 +249,63 @@ def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
     return SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, values)
 
 
+def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorHandle:
+    """Factorization of A - sigma*I at sigma = shift - margin, backing off until it is SPD.
+
+    The margin grows 4x, from |shift|*1e-15 if it starts at 0, while A - sigma*I
+    is not SPD. A sigma at or above the least diagonal entry is not tried:
+    that entry bounds lambda_min(A) from above.
+    """
+    d_min = A.csr.diagonal().min()
+    while True:
+        sigma = shift - margin
+        if sigma < d_min:
+            try:
+                return factorize(_shifted(A, sigma))
+            except NotPositiveDefinite:
+                pass
+        margin = max(4.0 * margin, abs(shift) * 1e-15)
+
+
 def estimate_inv_norm(
     A: SparseSpdMatrix, tol: float = 1e-8, max_sweeps: int = 10_000, f: FactorHandle | None = None
 ) -> float:
     """Estimate nu = ||A^{-1}||_2 = 1/lambda_min(A) for SPD A.
 
-    Inverse power iteration with a deterministic all-ones start. The
-    Rayleigh quotient is accepted once the eigenpair residual bounds its
-    relative error by tol. When the quotient stagnates before that bound is
-    met (clustered smallest eigenvalues), iteration restarts on a shifted
-    factorization A - sigma*I with sigma just below the current estimate,
-    which restores a fast contraction rate.
+    Shifted inverse power iteration on (A - sigma*I)^{-1}:
 
-    f, when given, is a factorization of A itself that the unshifted sweeps
-    reuse instead of factorizing A again.
+    - The first shift is the Gershgorin lower bound
+      sigma0 = min_i(a_ii - sum_{j != i} |a_ij|) <= lambda_min(A). When
+      sigma0 > 0 (A is then SPD), the first factorization is of A - sigma0*I,
+      backed off just below sigma0 if rounding leaves it singular; otherwise
+      it is of A itself, and f, when given, is that factorization.
+    - The start vector v_i = i (normalized) has components along both the
+      symmetric and the antisymmetric eigenvectors of a persymmetric matrix,
+      to which an all-ones start is blind.
+    - The Rayleigh quotient and the residual are taken against A itself; the
+      quotient is accepted once the residual bounds its relative error by tol.
+    - When a sweep cuts the residual by less than half (clustered smallest
+      eigenvalues), iteration restarts on a factorization shifted just below
+      the current quotient, which restores a fast contraction rate.
     """
     if not 0 < tol < 1:
         raise DomainError("tol must lie in (0, 1)")
-    if f is None:
-        f = factorize(A)
-    elif f.n != A.n:
+    if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
-    v = np.ones(A.n) / np.sqrt(A.n)
-    lam_prev = np.inf
+    on_diag = A.rows == A.col_idx
+    off = np.bincount(A.rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
+    shift = float(np.min(A.values[on_diag] - off))
+    if shift > 0:
+        f = None
+    elif f is None:
+        f = factorize(A)
+    margin = 0.0
+    v = np.arange(1.0, A.n + 1)
+    v /= np.linalg.norm(v)
+    res_prev = np.inf
     for _ in range(max_sweeps):
+        if f is None:
+            f = _factorize_below(A, shift, margin)
         z = f.solve(v)
         v = z / np.linalg.norm(z)
         Av = matvec(A, v)
@@ -254,16 +315,9 @@ def estimate_inv_norm(
         # of lam, and v tracks the minimal eigenvector, so res bounds the error.
         if res <= tol * abs(lam):
             return 1.0 / lam
-        if abs(lam - lam_prev) <= 0.05 * res:
-            # Stagnating: re-center the factorization just below lam. Keep a
-            # margin of res so A - sigma*I stays positive definite; back off
-            # further if the Cholesky still hits a non-positive pivot.
-            margin = max(res, abs(lam) * 1e-15)
-            while True:
-                try:
-                    f = factorize(_shifted(A, lam - margin))
-                    break
-                except NotPositiveDefinite:
-                    margin *= 4.0
-        lam_prev = lam
+        if res > 0.5 * res_prev:
+            # Contracting slowly: re-center the factorization just below lam,
+            # with a margin of res so A - sigma*I stays positive definite.
+            f, shift, margin = None, lam, max(res, abs(lam) * 1e-15)
+        res_prev = res
     raise ConvergenceFailure(f"inverse power iteration did not converge in {max_sweeps} sweeps")

@@ -27,6 +27,27 @@ def tridiag(c, d, n):
     )
 
 
+def lattice_laplacian(m):
+    """Dense graph Laplacian of the m x m lattice pattern: PSD and singular."""
+    L = gen_lattice(m).A.to_dense()
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """Count the calls of linalg.factorize: one list entry per call."""
+    calls = []
+
+    def counted(A):
+        calls.append(A.n)
+        return factorize(A)
+
+    monkeypatch.setattr(linalg, "factorize", counted)
+    return calls
+
+
 class TestSparseSpdMatrix:
     def test_rejects_asymmetric_values(self):
         with pytest.raises(DomainError):
@@ -127,8 +148,10 @@ class TestFactorize:
             # Lattice 8 shifted down: positive diagonal, yet indefinite.
             (gen_lattice(8).A.to_dense() - 4.93 * np.eye(64), -0.69),
             (np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0),
+            # Singular, but rounding leaves the last band pivot tiny, not zero.
+            (lattice_laplacian(6), 0.0),
         ],
-        ids=["lattice8_shifted", "singular"],
+        ids=["lattice8_shifted", "singular", "lattice6_laplacian"],
     )
     def test_rejects_non_spd_with_pivot_in_range(self, dense, lambda_min):
         assert np.linalg.eigvalsh(dense)[0] == pytest.approx(lambda_min, abs=5e-3)
@@ -232,11 +255,48 @@ class TestEstimateInvNorm:
         with pytest.raises(DomainError):
             estimate_inv_norm(gen_lattice(2).A, tol=2.0)
 
-    def test_reuses_given_factor(self):
-        A = gen_lattice(8).A
-        assert estimate_inv_norm(A, f=factorize(A)) == estimate_inv_norm(A)
+    def test_reuses_given_factor(self, tref20b, factorize_calls):
+        # Lattice 8 has a positive Gershgorin bound and starts shifted, so f
+        # goes unused; Trefethen_20b's bound is negative, so f is A's factor.
+        for A, reused in ((gen_lattice(8).A, 0), (tref20b, 1)):
+            nu = estimate_inv_norm(A, f=factorize(A))
+            with_f = len(factorize_calls)
+            assert nu == estimate_inv_norm(A)
+            assert len(factorize_calls) - with_f == with_f + reused
+            factorize_calls.clear()
         with pytest.raises(DimensionMismatch):
             estimate_inv_norm(A, f=factorize(gen_lattice(2).A))
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_lattice_factorizes_once(self, m, factorize_calls):
+        estimate_inv_norm(gen_lattice(m).A)
+        assert len(factorize_calls) == 1
+
+    def test_trefethen_200b_factorizes_at_most_twice(self, tref200b, factorize_calls):
+        assert estimate_inv_norm(tref200b) == pytest.approx(dense_inv_norm(tref200b), rel=1e-10)
+        assert len(factorize_calls) <= 2
+
+    def test_shift_at_least_diagonal_entry_backs_off(self):
+        # blockdiag([1], T + c I), T = tridiag(-1, 2, -1) of order 30, with
+        # lambda_min(T + c I) = 1.001: a restart shift just below 1.001 makes
+        # the first diagonal entry non-positive, which must count as not SPD.
+        T = 2 * np.eye(30) - np.eye(30, k=1) - np.eye(30, k=-1)
+        M = np.zeros((31, 31))
+        M[0, 0] = 1.0
+        M[1:, 1:] = T + (1.001 - np.linalg.eigvalsh(T)[0]) * np.eye(30)
+        assert estimate_inv_norm(SparseSpdMatrix.from_dense(M)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_persymmetric_antisymmetric_eigenvector(self, tol):
+        # The minimal eigenvector of 20 * tridiag(1, 2, 1) is antisymmetric,
+        # orthogonal to an all-ones start.
+        A = SparseSpdMatrix.from_dense(20.0 * tridiag(1, 2, 10).to_dense())
+        assert estimate_inv_norm(A, tol=tol) == pytest.approx(dense_inv_norm(A), rel=1e-6)
+
+    def test_rejects_singular_to_working_precision(self, factorize_calls):
+        with pytest.raises(NotPositiveDefinite):
+            estimate_inv_norm(SparseSpdMatrix.from_dense(lattice_laplacian(6)))
+        assert len(factorize_calls) == 1
 
     def test_matches_dense_oracle(self, tref20b):
         rng = np.random.default_rng(3)
@@ -251,3 +311,39 @@ class TestEstimateInvNorm:
 @pytest.mark.usefixtures("sparse_branch")
 class TestEstimateInvNormSparse(TestEstimateInvNorm):
     """Every TestEstimateInvNorm case again, with every factorization on the SuperLU branch."""
+
+
+def _spd_of_kind(kind, M, d):
+    """An SPD matrix of the given kind, built from a square M and a vector d."""
+    S = (M + M.T) / 2
+    if kind == "diagonal":
+        return np.diag(0.1 + np.abs(d))
+    if kind == "dominant":
+        np.fill_diagonal(S, 0.0)
+        return S + np.diag(np.abs(S).sum(axis=1) + 0.1 + np.abs(d))
+    if kind == "persymmetric":
+        S = (S + S[::-1, ::-1]) / 2
+    eig = np.linalg.eigvalsh(S)
+    return S + (0.01 * (eig[-1] - eig[0]) + 0.1 - eig[0]) * np.eye(len(S))
+
+
+random_spd_kinds = st.tuples(
+    st.sampled_from(["general", "dominant", "persymmetric", "diagonal"]), st.integers(2, 30)
+).flatmap(
+    lambda kn: st.tuples(
+        st.just(kn[0]),
+        hnp.arrays(np.float64, (kn[1], kn[1]), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        hnp.arrays(np.float64, kn[1], elements=st.floats(-1.0, 1.0)),
+    )
+).map(lambda args: _spd_of_kind(*args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_spd_kinds)
+def test_estimate_inv_norm_matches_eigvalsh(dense):
+    A = SparseSpdMatrix.from_dense(dense)
+    expected = dense_inv_norm(A)
+    for limit in (linalg._BAND_STORAGE_LIMIT, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BAND_STORAGE_LIMIT", limit)
+            assert abs(estimate_inv_norm(A) - expected) <= 1e-6 * expected
