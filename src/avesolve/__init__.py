@@ -42,7 +42,7 @@ from .problems import (
     save_matrix_market,
 )
 from .solvers import SolveConfig, SolveReport, residual, solve_fpi, solve_sor_like
-from .sweep import SweepResult, default_grid, domain_curves, grid_search
+from .sweep import SweepResult, default_grid, domain_curves, grid_argmin, grid_search
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

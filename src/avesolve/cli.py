@@ -6,18 +6,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from .errors import AveError, DivergenceError, NoConvergentParameter
+from .errors import AveError, DivergenceError, DomainError, NoConvergentParameter
 from .linalg import estimate_inv_norm, factorize
 from .params import ParamEnvelope
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, solve_fpi, solve_sor_like
-from .sweep import default_grid, domain_curves, grid_search
+from .sweep import default_grid, domain_curves, grid_argmin, grid_search
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,6 +95,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(data) -> str:
+    """Strict JSON (RFC 8259) with non-finite floats written as null."""
+
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [strict(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(strict(data), indent=2, allow_nan=False) + "\n"
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -123,7 +137,7 @@ def cmd_solve(args) -> int:
         param = 1.0
     elif args.param == "grid":
         base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-        param = grid_search(problem, args.method, cfg=base, f=f).best_param
+        param, _ = grid_argmin(problem, args.method, cfg=base, f=f)
     else:
         param = float(args.param)
     cfg = SolveConfig(parameter=param, tol=args.tol, k_max=args.kmax)
@@ -147,7 +161,7 @@ def cmd_solve(args) -> int:
 
 def _render_solve(args, rec) -> None:
     if args.format == "json":
-        _emit(args, json.dumps(rec, indent=2) + "\n")
+        _emit(args, _json_text(rec))
     elif args.format == "csv":
         _emit(args, _csv_text(["param", "it", "cpu", "res"],
                               [[f"{rec['param']:.4f}", rec["it"], f"{rec['cpu']:.4f}", f"{rec['res']:.4e}"]]))
@@ -158,15 +172,18 @@ def _render_solve(args, rec) -> None:
 def cmd_sweep(args) -> int:
     problem = _load_problem(args)
     base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-    result = grid_search(problem, args.method, grid=default_grid(), cfg=base)
-    if args.format == "json":
-        _emit(args, json.dumps({"best_param": result.best_param, "min_it": result.min_it}, indent=2) + "\n")
-    elif args.format == "csv":
+    if args.format == "csv":
+        # Only the table needs every grid point run to its end.
+        result = grid_search(problem, args.method, grid=default_grid(), cfg=base)
         rows = [[f"{p:.3f}", _it_str(it != result.sentinel, int(it))]
                 for p, it in zip(result.grid, result.iterations)]
         _emit(args, _csv_text(["param", "it"], rows))
+        return EXIT_OK
+    best_param, min_it = grid_argmin(problem, args.method, grid=default_grid(), cfg=base)
+    if args.format == "json":
+        _emit(args, _json_text({"best_param": best_param, "min_it": min_it}))
     else:
-        _emit(args, f"best_param {result.best_param:.4f}  min_it {result.min_it}\n")
+        _emit(args, f"best_param {best_param:.4f}  min_it {min_it}\n")
     return EXIT_OK
 
 
@@ -197,7 +214,7 @@ def cmd_ranges(args) -> int:
     problem = _load_problem(args)
     rec = _ranges_record(estimate_inv_norm(problem.A))
     if args.format == "json":
-        _emit(args, json.dumps(rec, indent=2) + "\n")
+        _emit(args, _json_text(rec))
     elif args.format == "csv":
         row = [f"{rec[c]:.4f}" if isinstance(rec[c], float) else str(rec[c]).lower()
                for c in _RANGE_COLUMNS]
@@ -236,17 +253,24 @@ def cmd_bench(args) -> int:
     for prob_name, problem in jobs:
         f = factorize(problem.A)
         nu = estimate_inv_norm(problem.A, f=f)
-        env = ParamEnvelope.from_nu(nu)
+        try:
+            omega_chen = ParamEnvelope.from_nu(nu).omega_chen_opt
+        except DomainError:
+            # nu >= 1: the sufficient theory gives no parameter, but the solvers still run.
+            omega_chen = None
         base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
         for label, method, pick in BENCH_ROWS:
             solver = solve_sor_like if method == "sor" else solve_fpi
             if pick == "chen":
-                param = env.omega_chen_opt
+                if omega_chen is None:
+                    rows.append([prob_name, label, "-", "-", "-", "-"])
+                    continue
+                param = omega_chen
             elif pick == "one":
                 param = 1.0
             else:
                 try:
-                    param = grid_search(problem, method, cfg=base, f=f).best_param
+                    param, _ = grid_argmin(problem, method, cfg=base, f=f)
                 except NoConvergentParameter:
                     rows.append([prob_name, label, "-", "-", "-", "-"])
                     continue
@@ -264,7 +288,7 @@ def cmd_bench(args) -> int:
 
     header = ["problem", "method", "param", "it", "cpu", "res"]
     if args.format == "json":
-        _emit(args, json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
+        _emit(args, _json_text([dict(zip(header, row)) for row in rows]))
     elif args.format == "csv":
         _emit(args, _csv_text(header, rows))
     else:
@@ -280,7 +304,7 @@ def cmd_curves(args) -> int:
     rows = domain_curves(nu_grid)
     header = ["nu", "sor_new_hi", "fpi_new_hi", "fpi_old_lo", "fpi_old_hi", "fpi_old_empty"]
     if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2) + "\n")
+        _emit(args, _json_text(rows))
     else:
         out_rows = [[f"{r['nu']:.4f}", f"{r['sor_new_hi']:.4f}", f"{r['fpi_new_hi']:.4f}",
                      f"{r['fpi_old_lo']:.4f}", f"{r['fpi_old_hi']:.4f}",

@@ -25,6 +25,10 @@ from .problems import AveProblem
 # lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast.
 BLOCK_BYTES = 128 * 2**10
 
+# The analytical optimum of both iterations, omega = tau = 1: an argmin
+# search visits the chunk of columns nearest it first.
+PAPER_OPTIMUM = 1.0
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -103,6 +107,7 @@ def iterate_block(
     x0: np.ndarray,
     y0: np.ndarray,
     observe=None,
+    argmin: bool = False,
 ) -> BlockStops:
     """Run the SOR-like ("sor") or fixed-point ("fpi") iteration once per parameter.
 
@@ -110,27 +115,51 @@ def iterate_block(
     that makes x or y non-finite (diverged), brings RES to at most tol
     (converged) or is the k_max-th; stopped columns are dropped from the
     block, so they cost no further work. Parameters and tol are validated by
-    the callers (SolveConfig, grid_search). ``observe(X, Y, res)``, when
+    the callers (SolveConfig, the sweep module). ``observe(X, Y, res)``, when
     given, sees the rows still running after every update, before any stop.
+
+    Columns run in chunks of consecutive parameters (see BLOCK_BYTES). With
+    ``argmin`` set, only the converged column with the fewest updates, the
+    lowest index among equals, is sought, and every column found converged
+    is one that grid_search finds converged at the same update:
+
+    - the chunk holding the parameter nearest PAPER_OPTIMUM runs first,
+      then the others in order of distance from it;
+    - a chunk stops whole at the first update at which any of its columns
+      converges, the least count any of them can reach;
+    - once a least count k is known, a later chunk runs at most k updates
+      if it lies before k's chunk (it can still tie and win on index), and
+      at most k - 1 if it lies after.
+
+    Columns stopped early are reported as not converged, with the updates
+    they ran; a chunk capped at 0 updates reports 0.
     """
     if f.n != problem.n:
         raise DimensionMismatch("factorization dimension differs from problem dimension")
     sor = method == "sor"
     params = np.asarray(params, dtype=np.float64)
     p = len(params)
-    stopped_at = np.full(p, k_max, dtype=np.int64)
+    stopped_at = np.zeros(p, dtype=np.int64)
     converged = np.zeros(p, dtype=bool)
     diverged = np.zeros(p, dtype=bool)
     res_out = np.full(p, np.nan)
     chunk = max(1, BLOCK_BYTES // (8 * problem.n))
+    starts = list(range(0, p, chunk))
+    if argmin:
+        home = int(np.argmin(np.abs(params - PAPER_OPTIMUM))) // chunk * chunk
+        starts.sort(key=lambda start: abs(start - home))
+    best_k = best_start = None  # the least count found so far, and its chunk
     # Diverging columns overflow on purpose; they are caught by the finiteness test.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, p, chunk):
+        for start in starts:
             cols = np.arange(start, min(start + chunk, p))
+            last = k_max
+            if best_k is not None:
+                last = min(k_max, best_k if start < best_start else best_k - 1)
             w = params[cols, None]
             X = np.tile(x0, (len(cols), 1))
             Y = np.tile(y0, (len(cols), 1))
-            for k in range(1, k_max + 1):
+            for k in range(1, last + 1):
                 Z = f.solve(Y + problem.b)
                 X = (1.0 - w) * X + w * Z if sor else Z
                 Y = (1.0 - w) * Y + w * np.abs(X)
@@ -139,7 +168,11 @@ def iterate_block(
                     observe(X, Y, res)
                 bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
                 good = ~bad & (res <= tol)
-                stop = bad | good | (k == k_max)
+                stop = bad | good | (k == last)
+                if argmin and good.any():
+                    # Within its cap, any convergence beats the best so far.
+                    stop[:] = True
+                    best_k, best_start = k, start
                 if not stop.any():
                     continue
                 done = cols[stop]

@@ -1,9 +1,14 @@
 """Grid search for numerically optimal parameters and convergence-domain data.
 
-The sweep runs every grid point as one column of a single block iteration
+A sweep runs every grid point as one column of a block iteration
 (:func:`avesolve.solvers.iterate_block`): each step does one multi-RHS
-factor-solve for all running columns, and each column stops on its own when
-it converges, diverges or reaches k_max.
+factor-solve for all running columns. Two searches share it:
+
+- :func:`grid_search` tabulates every grid point's iteration count: each
+  column stops on its own when it converges, diverges or reaches k_max.
+- :func:`grid_argmin` finds only the first grid point attaining the least
+  count, the same one grid_search finds: it starts next to the analytical
+  optimum 1 and stops each chunk of columns at its first converged step.
 """
 
 from __future__ import annotations
@@ -33,18 +38,15 @@ class SweepResult:
     sentinel: int
 
 
-def grid_search(
+def _sweep(
     problem: AveProblem,
     method: str,
-    grid: np.ndarray | None = None,
-    cfg: SolveConfig | None = None,
-    f: FactorHandle | None = None,
-) -> SweepResult:
-    """Run the chosen solver at every grid point from zero starting vectors.
-
-    All grid points run together as the columns of one block iteration.
-    best_param is the first grid point attaining the minimal iteration count.
-    """
+    grid: np.ndarray | None,
+    cfg: SolveConfig | None,
+    f: FactorHandle | None,
+    argmin: bool,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The validated grid, its iteration counts (sentinel where not converged) and the sentinel."""
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
@@ -56,14 +58,44 @@ def grid_search(
     if f is None:
         f = factorize(problem.A)
     zeros = np.zeros(problem.n)
-    stops = iterate_block(problem, f, method, grid, base.tol, base.k_max, zeros, zeros)
+    stops = iterate_block(problem, f, method, grid, base.tol, base.k_max, zeros, zeros, argmin=argmin)
     sentinel = base.k_max + 1
     its = np.where(stops.converged, stops.iterations, sentinel)
     if np.all(its == sentinel):
         raise NoConvergentParameter("no grid point converged")
-    min_it = int(its.min())
-    best = float(grid[int(np.argmin(its))])
-    return SweepResult(grid, its, best, min_it, sentinel)
+    return grid, its, sentinel
+
+
+def grid_search(
+    problem: AveProblem,
+    method: str,
+    grid: np.ndarray | None = None,
+    cfg: SolveConfig | None = None,
+    f: FactorHandle | None = None,
+) -> SweepResult:
+    """Run the chosen solver at every grid point from zero starting vectors.
+
+    best_param is the first grid point attaining the minimal iteration count.
+    """
+    grid, its, sentinel = _sweep(problem, method, grid, cfg, f, argmin=False)
+    best = int(np.argmin(its))
+    return SweepResult(grid, its, float(grid[best]), int(its[best]), sentinel)
+
+
+def grid_argmin(
+    problem: AveProblem,
+    method: str,
+    grid: np.ndarray | None = None,
+    cfg: SolveConfig | None = None,
+    f: FactorHandle | None = None,
+) -> tuple[float, int]:
+    """(best_param, min_it) of :func:`grid_search`, without running every point to its end.
+
+    Raises NoConvergentParameter exactly when grid_search does.
+    """
+    grid, its, _ = _sweep(problem, method, grid, cfg, f, argmin=True)
+    best = int(np.argmin(its))
+    return float(grid[best]), int(its[best])
 
 
 def domain_curves(nu_grid: np.ndarray) -> list[dict]:

@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from avesolve import SparseSpdMatrix, linalg, matvec, solve_fpi, solve_sor_like
+from avesolve import SparseSpdMatrix, build_rhs, linalg, matvec, solve_fpi, solve_sor_like
 
 
 def first_primes(k):
@@ -57,6 +60,28 @@ def check_contraction_envelope(problem, f, cfg, method, envelope, slack=1e-10):
     for d_prev, d_next in zip(diffs, diffs[1:]):
         bound = envelope @ d_prev
         assert np.all(d_next <= bound + slack)
+
+
+@st.composite
+def random_ave_problems(draw, max_n=6):
+    """Small problems b = A x* - |x*| with A SPD, of one of two kinds:
+
+    - "dominant": strictly diagonally dominant by d in [1.1, 6] in every row,
+      so lambda_min(A) >= d > 1 and nu < 1;
+    - "weak": lambda_min(A) = d in [0.25, 1], so nu = 1/d >= 1 (up to rounding).
+    """
+    n = draw(st.integers(1, max_n))
+    M = draw(hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
+    x_star = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    S = (M + M.T) / 2
+    np.fill_diagonal(S, 0.0)
+    if draw(st.sampled_from(["dominant", "weak"])) == "dominant":
+        A = S + np.diag(np.abs(S).sum(axis=1) + draw(st.floats(1.1, 6.0)))
+    else:
+        A = S + (draw(st.floats(0.25, 1.0)) - np.linalg.eigvalsh(S)[0]) * np.eye(n)
+    problem = build_rhs(SparseSpdMatrix.from_dense(A), x_star)
+    assume(np.linalg.norm(problem.b) > 1e-6)
+    return problem
 
 
 def matrix_dir():

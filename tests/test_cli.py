@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import avesolve
-from avesolve import gen_lattice, save_matrix_market
+from avesolve import SparseSpdMatrix, cli, gen_lattice, save_matrix_market
 
 # The child process imports the same avesolve as this one, installed or not.
 _SRC = str(Path(avesolve.__file__).parents[1])
@@ -22,6 +22,26 @@ def run_cli(*args):
         timeout=300,
         env=CHILD_ENV,
     )
+
+
+def run_main(capsys, *args):
+    """Run the CLI in this process: (exit code, stdout)."""
+    rc = cli.main(list(args))
+    return rc, capsys.readouterr().out
+
+
+def _reject_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+def strict_json(text):
+    """Parse text as strict JSON: NaN, Infinity and -Infinity are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def write_matrix(path, dense):
+    save_matrix_market(SparseSpdMatrix.from_dense(dense), path)
+    return str(path)
 
 
 class TestSolve:
@@ -136,6 +156,63 @@ class TestBench:
         by_method = {row[1]: row for row in rows}
         assert by_method["SORLnopt"][3] == "15"
         assert by_method["FPIopt"][3] == "15"
+
+    def test_nu_at_least_one_costs_only_the_theory_row(self, tmp_path, capsys):
+        # nu(M) = 2: the theory gives no SORLopt parameter, but the solvers still run.
+        path = write_matrix(tmp_path / "M.mtx", [[1.0, 0.5], [0.5, 1.0]])
+        rc, out = run_main(capsys, "bench", "--lattice", "4", "--matrix", path, "--format", "csv")
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        lattice = {row[1]: row for row in rows if row[0] == "lattice4"}
+        matrix = {row[1]: row for row in rows if row[0] == path}
+        assert len(rows) == 10
+        assert set(lattice) == set(matrix) == {"SORLopt", "SORLnopt", "SORLno", "FPIopt", "FPIno"}
+        assert all(row[3] == "11" for row in lattice.values())
+        assert matrix["SORLopt"][2:] == ["-", "-", "-", "-"]
+        for label in ("SORLnopt", "FPIopt"):
+            assert matrix[label][2] == "1.0000"
+            float(matrix[label][4])  # it ran and was timed
+        assert matrix["SORLno"][3] == "15"
+        assert matrix["FPIno"][3] == "12"
+
+
+class TestStrictJson:
+    def test_diverged_solve_has_null_timing(self, capsys):
+        rc, out = run_main(capsys, "solve", "--lattice", "8", "--method", "sor", "--param", "10000",
+                           "--format", "json")
+        assert rc == 2
+        rec = strict_json(out)
+        assert rec["cpu"] is None and rec["res"] is None and rec["converged"] is False
+
+    def test_curves_empty_legacy_range_is_null(self, capsys):
+        rc, out = run_main(capsys, "curves", "--format", "json")
+        assert rc == 0
+        rows = strict_json(out)
+        empty = [row for row in rows if row["fpi_old_empty"]]
+        assert empty and all(row["fpi_old_lo"] is None and row["fpi_old_hi"] is None for row in empty)
+
+    def test_ranges_empty_legacy_range_is_null(self, tmp_path, capsys):
+        # nu = 1/1.25 = 0.8 > sqrt(2)/2: the legacy FPI range is empty.
+        path = write_matrix(tmp_path / "d.mtx", [[1.25, 0.0], [0.0, 2.0]])
+        rc, out = run_main(capsys, "ranges", "--matrix", path, "--format", "json")
+        assert rc == 0
+        rec = strict_json(out)
+        assert rec["range3_empty"] is True
+        assert rec["range3_lo"] is None and rec["range3_hi"] is None
+        assert rec["nu"] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep", "--lattice", "4", "--method", "fpi"),
+            ("bench", "--lattice", "4"),
+            ("solve", "--lattice", "4", "--method", "sor", "--param", "grid"),
+        ],
+    )
+    def test_other_commands_parse(self, args, capsys):
+        rc, out = run_main(capsys, *args, "--format", "json")
+        assert rc == 0
+        assert strict_json(out)
 
 
 class TestCurves:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avesolve import (
     DivergenceError,
@@ -16,7 +19,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
-from conftest import check_contraction_envelope, random_spd, run_with_history
+from conftest import check_contraction_envelope, random_ave_problems, random_spd, run_with_history
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,30 @@ class TestEquivalenceAtOptimum:
         for (xs, ys), (xf, yf) in zip(sor_report.iterate_history, fpi_report.iterate_history):
             assert np.array_equal(xs, xf)
             assert np.array_equal(ys, yf)
+
+
+def _outcome(solver, problem, f, cfg):
+    try:
+        report = solver(problem, f, cfg)
+    except DivergenceError as exc:
+        return ("diverged", exc.iteration)
+    return (report.converged, report.iterations, np.array(report.res_history), report.x, report.y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ave_problems(), st.integers(1, 30), st.data())
+def test_sor_and_fpi_at_one_identical_on_random_problems(problem, k_max, data):
+    start = hnp.arrays(np.float64, problem.n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    cfg = SolveConfig(parameter=1.0, k_max=k_max, x0=data.draw(start), y0=data.draw(start))
+    f = factorize(problem.A)
+    sor = _outcome(solve_sor_like, problem, f, cfg)
+    fpi = _outcome(solve_fpi, problem, f, cfg)
+    assert sor[:2] == fpi[:2]
+    if sor[0] != "diverged":
+        # RES may overflow to inf or nan from a huge start; compare its bits.
+        assert sor[2].tobytes() == fpi[2].tobytes()
+        # 0 * x + z can turn a -0.0 of z into +0.0, so x and y compare by value.
+        assert np.array_equal(sor[3], fpi[3]) and np.array_equal(sor[4], fpi[4])
 
 
 class TestGuaranteedConvergence:

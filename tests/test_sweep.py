@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avesolve import (
     DivergenceError,
@@ -11,13 +13,16 @@ from avesolve import (
     estimate_inv_norm,
     factorize,
     gen_lattice,
+    grid_argmin,
     grid_search,
+    linalg,
     range_sor_new,
     rho_W,
     solve_fpi,
     solve_sor_like,
 )
 from avesolve import solvers
+from conftest import random_ave_problems
 
 
 @pytest.fixture(scope="module")
@@ -76,20 +81,22 @@ class TestGridSearch:
 
     def test_no_convergent_parameter(self, lattice8):
         p, f = lattice8
-        with pytest.raises(NoConvergentParameter):
-            grid_search(p, "sor", grid=np.array([1.99]), f=f)
+        for search in (grid_search, grid_argmin):
+            with pytest.raises(NoConvergentParameter):
+                search(p, "sor", grid=np.array([1.99]), f=f)
 
     def test_rejects_bad_grid(self, lattice8):
         p, f = lattice8
-        with pytest.raises(DomainError):
-            grid_search(p, "sor", grid=np.array([0.5, 0.4]), f=f)
-        with pytest.raises(DomainError):
-            grid_search(p, "sor", grid=np.array([]), f=f)
-        with pytest.raises(DomainError):
-            grid_search(p, "bogus", f=f)
-        for bad in (np.nan, np.inf):
+        for search in (grid_search, grid_argmin):
             with pytest.raises(DomainError):
-                grid_search(p, "fpi", grid=np.array([0.5, bad]), f=f)
+                search(p, "sor", grid=np.array([0.5, 0.4]), f=f)
+            with pytest.raises(DomainError):
+                search(p, "sor", grid=np.array([]), f=f)
+            with pytest.raises(DomainError):
+                search(p, "bogus", f=f)
+            for bad in (np.nan, np.inf):
+                with pytest.raises(DomainError):
+                    search(p, "fpi", grid=np.array([0.5, bad]), f=f)
 
     @pytest.mark.parametrize("method", ["sor", "fpi"])
     @pytest.mark.parametrize("chunk_columns", [None, 3])
@@ -112,6 +119,61 @@ class TestGridSearch:
             monkeypatch.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * p.n)
         result = grid_search(p, method, grid=grid, f=f)
         assert result.iterations.tolist() == expected
+
+
+class TestGridArgmin:
+    @pytest.mark.parametrize("method, expected", [("fpi", (0.961, 11)), ("sor", (0.981, 11))])
+    def test_lattice8_table2(self, lattice8, method, expected):
+        p, f = lattice8
+        assert grid_argmin(p, method, f=f) == expected
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    def test_lattice8_stops_early(self, lattice8, monkeypatch, method):
+        # Running every grid point to its end takes 106k (FPI) and 132k (SOR)
+        # column-steps; stopping each chunk at its first converged step, about 21k.
+        p, f = lattice8
+        columns = []
+        solve = linalg.FactorHandle.solve
+
+        def counting_solve(self, r):
+            columns.append(len(r) if np.ndim(r) == 2 else 1)
+            return solve(self, r)
+
+        monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
+        grid_argmin(p, method, f=f)
+        assert sum(columns) < 30_000
+
+
+# Points near 1 converge fastest; points above 2 and 10, 1e4 mostly diverge.
+ascending_grids = st.lists(
+    st.one_of(st.floats(0.6, 1.4), st.floats(0.01, 2.5), st.sampled_from([1.0, 10.0, 1e4])),
+    min_size=1,
+    max_size=30,
+    unique=True,
+).map(lambda values: np.array(sorted(values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_ave_problems(),
+    st.sampled_from(["sor", "fpi"]),
+    ascending_grids,
+    st.floats(1e-10, 1e-2),
+    st.integers(0, 39).map(lambda j: 40 - j),  # k_max in 1..40, mostly long enough to converge
+    st.integers(1, 4),
+)
+def test_grid_argmin_matches_grid_search(problem, method, grid, tol, k_max, chunk_columns):
+    f = factorize(problem.A)
+    cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
+        try:
+            full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
+        except NoConvergentParameter:
+            with pytest.raises(NoConvergentParameter):
+                grid_argmin(problem, method, grid=grid, cfg=cfg, f=f)
+            return
+        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == (full.best_param, full.min_it)
 
 
 class TestDomainCurves:
