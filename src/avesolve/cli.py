@@ -1,4 +1,9 @@
-"""Command-line front end: single solves, sweeps, parameter reports, benchmarks."""
+"""Command-line front end: single solves, sweeps, parameter reports, benchmarks.
+
+Each command builds one record (a dict) or table (a list of dicts) for :func:`_emit`, the one
+writer of json, csv and text. Every printed solve runs through :func:`_run`, the one place a
+diverged iterate becomes a record; `solve` prints that record and `bench` makes its row from it.
+"""
 
 from __future__ import annotations
 
@@ -18,19 +23,27 @@ from .linalg import estimate_inv_norm, factorize
 from .params import ParamEnvelope
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, solve_fpi, solve_sor_like
-from .sweep import default_grid, domain_curves, grid_argmin, grid_search
+from .sweep import domain_curves, grid_argmin, grid_search
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CONVERGENCE = 2
 
+# What a bad input, file or matrix raises: `main` reports it, `bench` skips the problem.
+_FAILURES = (AveError, OSError, ValueError)
+
+BENCH_COLUMNS = ["problem", "method", "param", "it", "cpu", "res"]
+SOLVE_COLUMNS = BENCH_COLUMNS[2:]
+
 BENCH_ROWS = (
     ("SORLopt", "sor", "chen"),
-    ("SORLnopt", "sor", "one"),
+    ("SORLnopt", "sor", "optimal"),
     ("SORLno", "sor", "grid"),
-    ("FPIopt", "fpi", "one"),
+    ("FPIopt", "fpi", "optimal"),
     ("FPIno", "fpi", "grid"),
 )
+
+_TEXT_LABELS = {"it": "IT", "cpu": "CPU", "res": "RES"}
 
 
 def _add_problem_flags(p, required=True):
@@ -80,14 +93,49 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_problem(args) -> AveProblem:
-    if getattr(args, "lattice", None) is not None:
-        return gen_lattice(args.lattice)
-    A = load_matrix_market(args.matrix)
+def _load_problem(lattice: int | None, path: str | None) -> AveProblem:
+    if lattice is not None:
+        return gen_lattice(lattice)
+    A = load_matrix_market(path)
     return build_rhs(A, alternating_xstar(A.n))
 
 
-def _emit(args, text: str) -> None:
+def _cell(column: str, value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.4e}" if column == "res" else f"{value:.4f}"
+    return str(value)
+
+
+def _strict(value):
+    """The value with every non-finite float replaced by None (null in strict JSON)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _emit(args, data, columns) -> None:
+    """Write one record (a dict) or a table (a list of dicts) as args.format to stdout or args.out.
+
+    json keeps every value as given; csv and text show only ``columns``, one cell format each.
+    """
+    if args.format == "json":
+        text = json.dumps(_strict(data), indent=2, allow_nan=False) + "\n"
+    else:
+        cells = [[_cell(c, row[c]) for c in columns] for row in ([data] if isinstance(data, dict) else data)]
+        if args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
+            text = buf.getvalue()
+        elif isinstance(data, dict):
+            text = "  ".join(f"{_TEXT_LABELS.get(c, c)} {x}" for c, x in zip(columns, cells[0])) + "\n"
+        else:
+            widths = [max(map(len, col)) for col in zip(columns, *cells)]
+            text = "".join("  ".join(x.ljust(w) for x, w in zip(line, widths)).rstrip() + "\n"
+                           for line in [columns, *cells])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -95,112 +143,65 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(data) -> str:
-    """Strict JSON (RFC 8259) with non-finite floats written as null."""
-
-    def strict(v):
-        if isinstance(v, dict):
-            return {k: strict(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [strict(x) for x in v]
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-
-    return json.dumps(strict(data), indent=2, allow_nan=False) + "\n"
+def _param(spec, problem, f, method, args) -> float:
+    """'optimal' (= 1), 'grid' (the sweep's best point) or a number."""
+    if spec == "optimal":
+        return 1.0
+    if spec == "grid":
+        base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
+        return grid_argmin(problem, method, cfg=base, f=f)[0]
+    return float(spec)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _it_str(converged: bool, iterations: int) -> str:
-    return str(iterations) if converged else "-"
-
-
-def _timed_solve(solver, problem, f, cfg, repeats=1):
-    report, elapsed = None, 0.0
-    for _ in range(repeats):
+def _run(problem, f, method, param, args, repeats=1) -> dict:
+    """Solve at param: the record `solve` prints, with cpu averaged over repeats."""
+    solver = solve_sor_like if method == "sor" else solve_fpi
+    cfg = SolveConfig(parameter=param, tol=args.tol, k_max=args.kmax)
+    try:
         t0 = time.perf_counter()
-        report = solver(problem, f, cfg)
-        elapsed += time.perf_counter() - t0
-    return report, elapsed / repeats
+        for _ in range(repeats):
+            report = solver(problem, f, cfg)
+        cpu = (time.perf_counter() - t0) / repeats
+    except DivergenceError as exc:
+        return {"param": param, "it": "-", "cpu": math.nan, "res": math.nan, "converged": False,
+                "note": str(exc)}
+    return {"param": param, "it": str(report.iterations) if report.converged else "-", "cpu": cpu,
+            "res": report.final_res, "converged": report.converged}
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args)
+    problem = _load_problem(args.lattice, args.matrix)
     f = factorize(problem.A)
-    solver = solve_sor_like if args.method == "sor" else solve_fpi
-    if args.param == "optimal":
-        param = 1.0
-    elif args.param == "grid":
-        base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-        param, _ = grid_argmin(problem, args.method, cfg=base, f=f)
-    else:
-        param = float(args.param)
-    cfg = SolveConfig(parameter=param, tol=args.tol, k_max=args.kmax)
-    try:
-        report, cpu = _timed_solve(solver, problem, f, cfg)
-    except DivergenceError as exc:
-        record = {"param": param, "it": "-", "cpu": float("nan"), "res": float("nan"),
-                  "converged": False, "note": str(exc)}
-        _render_solve(args, record)
-        return EXIT_NO_CONVERGENCE
-    record = {
-        "param": param,
-        "it": _it_str(report.converged, report.iterations),
-        "cpu": cpu,
-        "res": report.final_res,
-        "converged": report.converged,
-    }
-    _render_solve(args, record)
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-
-
-def _render_solve(args, rec) -> None:
-    if args.format == "json":
-        _emit(args, _json_text(rec))
-    elif args.format == "csv":
-        _emit(args, _csv_text(["param", "it", "cpu", "res"],
-                              [[f"{rec['param']:.4f}", rec["it"], f"{rec['cpu']:.4f}", f"{rec['res']:.4e}"]]))
-    else:
-        _emit(args, f"param {rec['param']:.4f}  IT {rec['it']}  CPU {rec['cpu']:.4f}  RES {rec['res']:.4e}\n")
+    rec = _run(problem, f, args.method, _param(args.param, problem, f, args.method, args), args)
+    _emit(args, rec, SOLVE_COLUMNS)
+    return EXIT_OK if rec["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_sweep(args) -> int:
-    problem = _load_problem(args)
+    problem = _load_problem(args.lattice, args.matrix)
     base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
     if args.format == "csv":
         # Only the table needs every grid point run to its end.
-        result = grid_search(problem, args.method, grid=default_grid(), cfg=base)
-        rows = [[f"{p:.3f}", _it_str(it != result.sentinel, int(it))]
+        result = grid_search(problem, args.method, cfg=base)
+        rows = [{"param": f"{p:.3f}", "it": "-" if it == result.sentinel else str(int(it))}
                 for p, it in zip(result.grid, result.iterations)]
-        _emit(args, _csv_text(["param", "it"], rows))
-        return EXIT_OK
-    best_param, min_it = grid_argmin(problem, args.method, grid=default_grid(), cfg=base)
-    if args.format == "json":
-        _emit(args, _json_text({"best_param": best_param, "min_it": min_it}))
+        _emit(args, rows, ["param", "it"])
     else:
-        _emit(args, f"best_param {best_param:.4f}  min_it {min_it}\n")
+        best_param, min_it = grid_argmin(problem, args.method, cfg=base)
+        _emit(args, {"best_param": best_param, "min_it": min_it}, ["best_param", "min_it"])
     return EXIT_OK
 
 
-_RANGE_COLUMNS = ["nu", "range2_lo", "range2_hi", "range3_lo", "range3_hi",
-                  "range3_empty", "range4_lo", "range4_hi",
-                  "omega_chen_opt", "omega_nopt", "tau_opt"]
-
-
-def _ranges_record(nu: float) -> dict:
+def cmd_ranges(args) -> int:
+    nu = estimate_inv_norm(_load_problem(args.lattice, args.matrix).A)
     env = ParamEnvelope.from_nu(nu)
     r3 = env.range_fpi_old
-    return {
+    rec = {
         "nu": nu,
         "range2_lo": env.range_sor_new.lower,
         "range2_hi": env.range_sor_new.upper,
-        "range3_lo": float("nan") if r3.empty else r3.lower,
-        "range3_hi": float("nan") if r3.empty else r3.upper,
+        "range3_lo": math.nan if r3.empty else r3.lower,
+        "range3_hi": math.nan if r3.empty else r3.upper,
         "range3_empty": r3.empty,
         "range4_lo": env.range_fpi_new.lower,
         "range4_hi": env.range_fpi_new.upper,
@@ -208,25 +209,11 @@ def _ranges_record(nu: float) -> dict:
         "omega_nopt": env.omega_nopt,
         "tau_opt": env.tau_opt,
     }
-
-
-def cmd_ranges(args) -> int:
-    problem = _load_problem(args)
-    rec = _ranges_record(estimate_inv_norm(problem.A))
-    if args.format == "json":
-        _emit(args, _json_text(rec))
-    elif args.format == "csv":
-        row = [f"{rec[c]:.4f}" if isinstance(rec[c], float) else str(rec[c]).lower()
-               for c in _RANGE_COLUMNS]
-        _emit(args, _csv_text(_RANGE_COLUMNS, [row]))
-    else:
-        lines = [f"{c:>16}  {rec[c]:.4f}" if isinstance(rec[c], float) else f"{c:>16}  {rec[c]}"
-                 for c in _RANGE_COLUMNS]
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, rec, list(rec))
     return EXIT_OK
 
 
-def _resolve_matrix(name: str, matrix_dir: str | None):
+def _resolve_matrix(name: str, matrix_dir: str | None) -> str:
     candidates = [name]
     if matrix_dir:
         candidates += [os.path.join(matrix_dir, name), os.path.join(matrix_dir, name + ".mtx")]
@@ -235,84 +222,46 @@ def _resolve_matrix(name: str, matrix_dir: str | None):
     for c in candidates:
         if os.path.isfile(c):
             return c
-    return None
+    raise FileNotFoundError(f"matrix '{name}' not found")
 
 
 def cmd_bench(args) -> int:
+    SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)  # a bad --tol/--kmax fails the command
     matrix_dir = args.matrix_dir or os.environ.get("AVE_MATRIX_DIR")
-    jobs = [(f"lattice{m}", gen_lattice(m)) for m in args.lattice]
-    for name in args.matrix:
-        path = _resolve_matrix(name, matrix_dir)
-        if path is None:
-            print(f"notice: matrix '{name}' not found, row skipped", file=sys.stderr)
-            continue
-        A = load_matrix_market(path)
-        jobs.append((name, build_rhs(A, alternating_xstar(A.n))))
-
+    jobs = [(f"lattice{m}", m, None) for m in args.lattice] + [(name, None, name) for name in args.matrix]
     rows = []
-    for prob_name, problem in jobs:
-        f = factorize(problem.A)
-        nu = estimate_inv_norm(problem.A, f=f)
+    for prob_name, lattice, matrix in jobs:
+        try:
+            problem = _load_problem(lattice, matrix and _resolve_matrix(matrix, matrix_dir))
+            f = factorize(problem.A)
+            nu = estimate_inv_norm(problem.A, f=f)
+        except _FAILURES as exc:
+            print(f"notice: {prob_name}: {exc}, row skipped", file=sys.stderr)
+            continue
         try:
             omega_chen = ParamEnvelope.from_nu(nu).omega_chen_opt
         except DomainError:
             # nu >= 1: the sufficient theory gives no parameter, but the solvers still run.
             omega_chen = None
-        base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-        for label, method, pick in BENCH_ROWS:
-            solver = solve_sor_like if method == "sor" else solve_fpi
-            if pick == "chen":
-                if omega_chen is None:
-                    rows.append([prob_name, label, "-", "-", "-", "-"])
-                    continue
-                param = omega_chen
-            elif pick == "one":
-                param = 1.0
-            else:
-                try:
-                    param, _ = grid_argmin(problem, method, cfg=base, f=f)
-                except NoConvergentParameter:
-                    rows.append([prob_name, label, "-", "-", "-", "-"])
-                    continue
-            cfg = SolveConfig(parameter=param, tol=args.tol, k_max=args.kmax)
+        for label, method, spec in BENCH_ROWS:
+            row = {"problem": prob_name, "method": label, "param": "-", "it": "-", "cpu": "-", "res": "-"}
+            spec = omega_chen if spec == "chen" else spec
             try:
-                report, cpu = _timed_solve(solver, problem, f, cfg, repeats=5)
-            except DivergenceError:
-                rows.append([prob_name, label, f"{param:.4f}", "-", "-", "-"])
-                continue
-            rows.append([
-                prob_name, label, f"{param:.4f}",
-                _it_str(report.converged, report.iterations),
-                f"{cpu:.4f}", f"{report.final_res:.4e}",
-            ])
-
-    header = ["problem", "method", "param", "it", "cpu", "res"]
-    if args.format == "json":
-        _emit(args, _json_text([dict(zip(header, row)) for row in rows]))
-    elif args.format == "csv":
-        _emit(args, _csv_text(header, rows))
-    else:
-        widths = [max(len(str(x)) for x in col) for col in zip(header, *rows)] if rows else [len(h) for h in header]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        lines += ["  ".join(str(x).ljust(w) for x, w in zip(row, widths)) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
+                param = None if spec is None else _param(spec, problem, f, method, args)
+            except NoConvergentParameter:
+                param = None
+            if param is not None:
+                rec = _run(problem, f, method, param, args, repeats=5)
+                shown = ["param", "it"] if "note" in rec else SOLVE_COLUMNS  # diverged: no cpu, res
+                row.update((c, _cell(c, rec[c])) for c in shown)
+            rows.append(row)
+    _emit(args, rows, BENCH_COLUMNS)
     return EXIT_OK
 
 
 def cmd_curves(args) -> int:
-    nu_grid = np.round(np.arange(1, 100) * 0.01, 2)
-    rows = domain_curves(nu_grid)
-    header = ["nu", "sor_new_hi", "fpi_new_hi", "fpi_old_lo", "fpi_old_hi", "fpi_old_empty"]
-    if args.format == "json":
-        _emit(args, _json_text(rows))
-    else:
-        out_rows = [[f"{r['nu']:.4f}", f"{r['sor_new_hi']:.4f}", f"{r['fpi_new_hi']:.4f}",
-                     f"{r['fpi_old_lo']:.4f}", f"{r['fpi_old_hi']:.4f}",
-                     str(r["fpi_old_empty"]).lower()] for r in rows]
-        if args.format == "csv":
-            _emit(args, _csv_text(header, out_rows))
-        else:
-            _emit(args, "\n".join("  ".join(row) for row in [header] + out_rows) + "\n")
+    rows = domain_curves(np.round(np.arange(1, 100) * 0.01, 2))
+    _emit(args, rows, list(rows[0]))
     return EXIT_OK
 
 
@@ -329,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AveError, FileNotFoundError, ValueError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

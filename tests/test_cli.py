@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,16 +71,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", ["--param", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_input_exit_1(self, flag, value):
+    def test_non_finite_input_exit_1(self, flag, value, capsys):
         r = run_cli("solve", "--lattice", "4", "--method", "fpi", flag, value)
         assert r.returncode == 1
         assert "error" in r.stderr
+        if flag == "--tol":  # bench rejects it before its problem loop, not as rows of "-"
+            assert cli.main(["bench", "--lattice", "4", flag, value]) == 1
+            assert "error" in capsys.readouterr().err
 
     def test_bad_matrix_path_exit_1(self):
         r = run_cli("solve", "--matrix", "/nonexistent.mtx", "--method", "sor",
                     "--param", "1.0")
         assert r.returncode == 1
         assert "error" in r.stderr
+
+    @pytest.mark.parametrize("args", [("solve", "--method", "sor", "--matrix"), ("ranges", "--lattice", "2", "--out")])
+    def test_directory_path_exit_1(self, tmp_path, args):
+        r = run_cli(*args, str(tmp_path))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
 
     def test_non_finite_matrix_entry_exit_1(self, tmp_path):
         f = tmp_path / "inf.mtx"
@@ -94,6 +105,21 @@ class TestSolve:
         r = run_cli("solve", "--matrix", str(f), "--method", "sor", "--param", "optimal")
         assert r.returncode == 0
         assert "IT 15" in r.stdout
+
+
+class TestSweep:
+    def test_csv_lists_every_grid_point(self, capsys):
+        rc, out = run_main(capsys, "sweep", "--lattice", "4", "--method", "fpi", "--format", "csv")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["param,it", "0.001,-"]
+        assert len(lines) == 1 + 1999
+        assert "0.951,11" in lines
+
+    def test_text(self, capsys):
+        rc, out = run_main(capsys, "sweep", "--lattice", "4", "--method", "fpi", "--format", "text")
+        assert rc == 0
+        assert out == "best_param 0.9510  min_it 11\n"
 
 
 class TestRanges:
@@ -117,6 +143,12 @@ class TestRanges:
         expected_hi = (2 - 2 * 0.125**0.5) / (1 - 0.125)
         assert rec["range2_hi"] == pytest.approx(expected_hi, abs=1e-9)
 
+    def test_text_is_one_line(self, capsys):
+        rc, out = run_main(capsys, "ranges", "--lattice", "8", "--format", "text")
+        assert rc == 0
+        assert out.count("\n") == 1
+        assert out.startswith("nu 0.2358  range2_lo 0.0000")
+
     def test_csv_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("ranges", "--lattice", "4", "--format", "csv", "--out", str(a))
@@ -129,6 +161,9 @@ class TestBench:
         r = run_cli("bench", "--format", "csv")
         assert r.returncode == 0
         assert r.stdout.strip() == "problem,method,param,it,cpu,res"
+        r = run_cli("bench", "--format", "text")
+        assert r.returncode == 0
+        assert r.stdout == "problem  method  param  it  cpu  res\n"
 
     def test_lattice_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -146,6 +181,30 @@ class TestBench:
         r = run_cli("bench", "--matrix", "no_such_matrix", "--format", "csv")
         assert r.returncode == 0
         assert "skipped" in r.stderr
+
+    def test_bad_kmax_exit_1(self, capsys):
+        assert cli.main(["bench", "--lattice", "4", "--kmax", "0"]) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # symmetric, not positive definite
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1\n2 1 2\n2 2 1\n",
+            # malformed entry
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n2 1 x\n",
+        ],
+        ids=["not_spd", "malformed"],
+    )
+    def test_bad_matrix_costs_only_its_rows(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.mtx"
+        path.write_text(content)
+        rc = cli.main(["bench", "--lattice", "2", "--matrix", str(path), "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["lattice2", label] for label, _, _ in cli.BENCH_ROWS]
+        assert err.startswith(f"notice: {path}: ") and err.endswith(", row skipped\n")
 
     def test_matrix_dir_env(self, tmp_path, tref20b):
         save_matrix_market(tref20b, tmp_path / "Trefethen_20b.mtx")
@@ -225,3 +284,12 @@ class TestCurves:
         assert len(lines) == 100  # header + nu in {0.01, ..., 0.99}
         row_76 = lines[76].split(",")  # nu = 0.76 > sqrt(2)/2
         assert row_76[5] == "true"
+
+    def test_text_columns_aligned(self, capsys):
+        rc, out = run_main(capsys, "curves", "--format", "text")
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) == 100
+        starts = {tuple(m.start() for m in re.finditer(r"(?<!\S)\S", line)) for line in lines}
+        assert len(starts) == 1 and len(next(iter(starts))) == 6
+        assert not any(line.endswith(" ") for line in lines)
