@@ -172,7 +172,12 @@ def _run(problem, f, method, param, args, repeats=1) -> dict:
 def cmd_solve(args) -> int:
     problem = _load_problem(args.lattice, args.matrix)
     f = factorize(problem.A)
-    rec = _run(problem, f, args.method, _param(args.param, problem, f, args.method, args), args)
+    try:
+        param = _param(args.param, problem, f, args.method, args)
+    except NoConvergentParameter as exc:
+        rec = {"param": "-", "it": "-", "cpu": math.nan, "res": math.nan, "converged": False, "note": str(exc)}
+    else:
+        rec = _run(problem, f, args.method, param, args)
     _emit(args, rec, SOLVE_COLUMNS)
     return EXIT_OK if rec["converged"] else EXIT_NO_CONVERGENCE
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +73,39 @@ def gen_lattice(m: int) -> AveProblem:
     return build_rhs(SparseSpdMatrix.from_scipy(A), alternating_xstar(n))
 
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _bulk_body(body: list[str], n: int, nnz: int):
+    """0-based rows, columns and values of the entry lines ``body`` in one vectorized pass, or None.
+
+    It accepts only what the line loop of `load_matrix_market` accepts, with the same numbers. On
+    anything else it returns None: a wrong field count, a non-numeric or float-looking index, an
+    index outside 1..n, other than nnz entries, a ``%`` anywhere, or any numpy warning. The loop
+    then parses the lines, so each error keeps its exact ParseError message and line number.
+    """
+    text = "".join(body)
+    if "%" in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Older numpy reads the index "1.0" with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            e = np.loadtxt(io.StringIO(text), dtype=_ENTRY, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(e) != nnz or min(e["i"].min(), e["j"].min()) < 1 or max(e["i"].max(), e["j"].max()) > n:
+        return None
+    return e["i"] - 1, e["j"] - 1, e["v"]
+
+
 def load_matrix_market(path) -> SparseSpdMatrix:
     """Read a coordinate real symmetric (or value-symmetric general) file.
 
     The stored triangle is mirrored, duplicates are summed, indices are
-    converted from 1-based to 0-based.
+    converted from 1-based to 0-based. After the size line a clean body is
+    read in one vectorized pass (`_bulk_body`); any other body is read line
+    by line, which reports a malformed line by its number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -115,6 +145,10 @@ def load_matrix_market(path) -> SparseSpdMatrix:
             if nrows != ncols:
                 raise ParseError(f"matrix is not square ({nrows}x{ncols})", lineno)
             size_seen = True
+            entries = _bulk_body(lines[lineno:], nrows, nnz)
+            if entries is not None:
+                rows, cols, vals = entries
+                break
             continue
         if len(parts) != 3:
             raise ParseError("entry must be 'i j value'", lineno)

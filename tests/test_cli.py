@@ -63,6 +63,17 @@ class TestSolve:
         assert r.returncode == 2
         assert "IT -" in r.stdout
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_grid_without_converged_point_exit_2(self, capsys, fmt):
+        rc, out = run_main(capsys, "solve", "--lattice", "8", "--method", "sor", "--param", "grid",
+                           "--kmax", "1", "--format", fmt)
+        assert rc == 2
+        if fmt == "text":
+            assert out.startswith("param -  IT -  ")
+        else:
+            rec = strict_json(out)
+            assert (rec["param"], rec["it"], rec["converged"]) == ("-", "-", False)
+
     def test_json_format(self):
         r = run_cli("solve", "--lattice", "4", "--method", "fpi", "--param", "optimal",
                     "--format", "json")

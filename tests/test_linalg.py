@@ -313,6 +313,17 @@ class TestEstimateInvNormSparse(TestEstimateInvNorm):
     """Every TestEstimateInvNorm case again, with every factorization on the SuperLU branch."""
 
 
+@pytest.mark.parametrize("m, superlu", [(8, False), (32, False), (128, False), (256, False),
+                                        (8, True), (32, True), (128, True)])
+def test_lattice_nu_closed_form(m, superlu, request):
+    """The lattice matrix is I (x) tridiag(-1, 8, -1) + tridiag(-1, 0, -1) (x) I, so
+    lambda_min = 8 - 4 cos(pi / (m + 1)). Lattice 256 already takes the SuperLU branch."""
+    if superlu:
+        request.getfixturevalue("sparse_branch")
+    nu = estimate_inv_norm(gen_lattice(m).A)
+    assert nu == pytest.approx(1.0 / (8.0 - 4.0 * np.cos(np.pi / (m + 1))), rel=1e-7)
+
+
 def _spd_of_kind(kind, M, d):
     """An SPD matrix of the given kind, built from a square M and a vector d."""
     S = (M + M.T) / 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avesolve import (
     AveProblem,
@@ -14,10 +16,11 @@ from avesolve import (
     gen_lattice,
     load_matrix_market,
     matvec,
+    problems,
     residual,
     save_matrix_market,
 )
-from conftest import dense_inv_norm
+from conftest import dense_inv_norm, random_ave_problems
 
 
 class TestAlternatingXstar:
@@ -232,3 +235,86 @@ class TestMatrixMarket:
         f = tmp_path / "Trefethen_20b.mtx"
         save_matrix_market(tref20b, f)
         assert load_matrix_market(f).n == 19
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=random_ave_problems())
+    def test_round_trip_random_spd(self, tmp_path_factory, problem):
+        f = tmp_path_factory.mktemp("rt") / "a.mtx"
+        save_matrix_market(problem.A, f)
+        loaded = load_matrix_market(f)
+        for field in ("row_ptr", "col_idx", "values"):
+            ours, theirs = getattr(loaded, field), getattr(problem.A, field)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+# Ways to break a valid file; "crlf" and "no_final_newline" leave it valid.
+MALFORMATIONS = ("missing_field", "extra_field", "float_index", "out_of_bounds", "count_off_by_one",
+                 "blank_or_comment_line", "trailing_comment", "crlf", "no_final_newline")
+
+
+@st.composite
+def matrix_market_texts(draw, malformation=None):
+    """The text of a random valid coordinate real file, with one malformation applied (if given)."""
+    n = draw(st.integers(1, 5))
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    value = st.one_of(
+        st.integers(-9, 9).map(str),
+        st.floats(-1e6, 1e6).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    )
+    index = st.integers(1, n)
+    entries = [list(map(str, e)) for e in draw(st.lists(st.tuples(index, index, value), min_size=1, max_size=12))]
+    if symmetry == "general":
+        entries += [[j, i, v] for i, j, v in entries if i != j]
+    nnz = len(entries)
+    k = draw(st.integers(0, nnz - 1))
+    if malformation == "missing_field":
+        entries[k].pop(draw(st.integers(0, 2)))
+    elif malformation == "extra_field":
+        entries[k].append("1")
+    elif malformation == "float_index":
+        entries[k][draw(st.integers(0, 1))] += draw(st.sampled_from([".0", "e0", ".5"]))
+    elif malformation == "out_of_bounds":
+        entries[k][draw(st.integers(0, 1))] = str(draw(st.sampled_from([0, -1, n + 1])))
+    elif malformation == "count_off_by_one":
+        nnz += draw(st.sampled_from([-1, 1]))
+    elif malformation == "trailing_comment":
+        entries[k].append("% c")
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    body = [draw(st.sampled_from(["", " "])) + sep.join(e) for e in entries]
+    if malformation == "blank_or_comment_line":
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", "   ", "% c", "%"])))
+    lines = [f"%%MatrixMarket matrix coordinate real {symmetry}"]
+    lines += draw(st.lists(st.sampled_from(["% comment", ""]), max_size=2)) + [f"{n} {n} {nnz}"] + body
+    newline = "\r\n" if malformation == "crlf" else "\n"
+    return newline.join(lines) + ("" if malformation == "no_final_newline" else newline)
+
+
+def load_outcome(path):
+    """What load_matrix_market gives: the exact bytes of the CSR arrays, or the exception raised."""
+    try:
+        A = load_matrix_market(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_number", None)
+    return tuple((a.dtype.str, a.tobytes()) for a in (A.row_ptr, A.col_idx, A.values))
+
+
+class TestMatrixMarketBulkParse:
+    """The vectorized body parse against the line loop alone (the bulk pass made to decline)."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge duplicates sum to inf
+    @pytest.mark.parametrize("malformation", [None, *MALFORMATIONS])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_result_or_error_as_line_loop(self, tmp_path_factory, malformation, data):
+        f = tmp_path_factory.mktemp("mm") / "a.mtx"
+        f.write_bytes(data.draw(matrix_market_texts(malformation)).encode("utf-8"))
+        bulk = problems._bulk_body
+        accepted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problems, "_bulk_body", lambda *a: accepted.append(bulk(*a)) or accepted[-1])
+            fast = load_outcome(f)
+            mp.setattr(problems, "_bulk_body", lambda *a: None)
+            assert fast == load_outcome(f)
+        if malformation in (None, "crlf", "no_final_newline"):
+            assert accepted and accepted[0] is not None  # clean files take the bulk path
