@@ -22,7 +22,7 @@ class NotPositiveDefinite(AveError):
 
 
 class ConvergenceFailure(AveError):
-    """An inner iteration (e.g. inverse power iteration) did not converge."""
+    """An inner iteration (e.g. the nu estimate) did not converge."""
 
 
 class DivergenceError(AveError):

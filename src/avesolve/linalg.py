@@ -18,9 +18,11 @@ m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
 wide band would be fill (lattice 256, whose 135 MB band it factors about
 1.7x and solves about 4x faster; see CHANGES.md for the crossover table).
 
-:func:`estimate_inv_norm` finds nu = ||A^{-1}||_2 by shifted inverse power
-iteration whose first shift, when positive, is the Gershgorin lower bound on
-lambda_min(A); the paper's lattice problems then need one factorization.
+:func:`estimate_inv_norm` finds nu = ||A^{-1}||_2 by a locally optimal
+Rayleigh-Ritz step (block-size-1 LOBPCG with the shifted factor as an exact
+preconditioner) whose first shift, when positive, is the Gershgorin lower
+bound on lambda_min(A); the lattices and the Trefethen matrices then need one
+factorization.
 """
 
 from __future__ import annotations
@@ -272,7 +274,10 @@ def estimate_inv_norm(
 ) -> float:
     """Estimate nu = ||A^{-1}||_2 = 1/lambda_min(A) for SPD A.
 
-    Shifted inverse power iteration on (A - sigma*I)^{-1}:
+    Each sweep does one solve z = (A - sigma*I)^{-1} v with the current factor
+    and then Rayleigh-Ritz for A on span{z, v, p}, p the previous v, whose
+    part orthogonal to v is the previous step's direction (LOBPCG with block
+    size 1, Knyazev 2001). The next v is the smallest Ritz vector.
 
     - The first shift is the Gershgorin lower bound
       sigma0 = min_i(a_ii - sum_{j != i} |a_ij|) <= lambda_min(A). When
@@ -282,11 +287,15 @@ def estimate_inv_norm(
     - The start vector v_i = i (normalized) has components along both the
       symmetric and the antisymmetric eigenvectors of a persymmetric matrix,
       to which an all-ones start is blind.
-    - The Rayleigh quotient and the residual are taken against A itself; the
+    - The Rayleigh quotient and the residual are those of z against A; the
       quotient is accepted once the residual bounds its relative error by tol.
+      z, not the Ritz vector, is tested: the solve damps each component along
+      a large eigenvalue by (lambda_min - sigma)/(lambda - sigma), whereas a
+      Ritz vector keeps such components at the size Rayleigh-Ritz cannot see,
+      which would dominate its residual when lambda_max/lambda_min is large.
     - When a sweep cuts the residual by less than half (clustered smallest
-      eigenvalues), iteration restarts on a factorization shifted just below
-      the current quotient, which restores a fast contraction rate.
+      eigenvalues), iteration restarts, without p, on a factorization shifted
+      just below the current quotient, which restores a fast contraction rate.
     """
     if not 0 < tol < 1:
         raise DomainError("tol must lie in (0, 1)")
@@ -302,17 +311,27 @@ def estimate_inv_norm(
     margin = 0.0
     v = np.arange(1.0, A.n + 1)
     v /= np.linalg.norm(v)
-    res_prev = np.inf
+    p, res_prev = None, np.inf
     for _ in range(max_sweeps):
         if f is None:
-            f = _factorize_below(A, shift, margin)
-        z = f.solve(v)
-        v = z / np.linalg.norm(z)
-        Av = matvec(A, v)
-        lam = float(v @ Av)
-        res = float(np.linalg.norm(Av - lam * v))
+            f, p = _factorize_below(A, shift, margin), None
+        # Orthonormal basis of span{z, v, p}, z = (A - sigma*I)^{-1} v first, by two
+        # Gram-Schmidt passes; a direction (nearly) inside the span so far is dropped.
+        basis = []
+        for w in [f.solve(v), v] if p is None else [f.solve(v), v, p]:
+            w = w / np.linalg.norm(w)
+            for _ in range(2):
+                for u in basis:
+                    w -= (u @ w) * u
+            norm = np.linalg.norm(w)
+            if norm > 1e-10:
+                basis.append(w / norm)
+        images = [matvec(A, u) for u in basis]
+        z, Az = basis[0], images[0]
+        lam = float(z @ Az)
+        res = float(np.linalg.norm(Az - lam * z))
         # Symmetric eigenvalue perturbation: some eigenvalue lies within res
-        # of lam, and v tracks the minimal eigenvector, so res bounds the error.
+        # of lam, and z tracks the minimal eigenvector, so res bounds the error.
         if res <= tol * abs(lam):
             return 1.0 / lam
         if res > 0.5 * res_prev:
@@ -320,4 +339,8 @@ def estimate_inv_norm(
             # with a margin of res so A - sigma*I stays positive definite.
             f, shift, margin = None, lam, max(res, abs(lam) * 1e-15)
         res_prev = res
-    raise ConvergenceFailure(f"inverse power iteration did not converge in {max_sweeps} sweeps")
+        # Rayleigh-Ritz: the next v is the smallest Ritz vector of A on the basis.
+        y = np.linalg.eigh([[u @ Au for Au in images] for u in basis])[1][:, 0]
+        p, v = v, sum(c * u for c, u in zip(y, basis))
+        v /= np.linalg.norm(v)
+    raise ConvergenceFailure(f"nu estimate did not converge in {max_sweeps} sweeps")

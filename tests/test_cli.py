@@ -110,6 +110,14 @@ class TestSolve:
         assert r.returncode == 1
         assert "matrix values must be finite" in r.stderr
 
+    def test_overflowing_duplicates_exit_1(self, tmp_path):
+        # The two entries sum to inf; the finite check reports it, with no numpy warning.
+        f = tmp_path / "over.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1e308\n1 1 1e308\n2 2 1\n")
+        r = run_cli("solve", "--matrix", str(f), "--method", "fpi")
+        assert r.returncode == 1
+        assert r.stderr == "error: matrix values must be finite\n"
+
     def test_matrix_problem(self, tmp_path, tref20b):
         f = tmp_path / "Trefethen_20b.mtx"
         save_matrix_market(tref20b, f)

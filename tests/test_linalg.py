@@ -261,6 +261,8 @@ class TestEstimateInvNorm:
         for A, reused in ((gen_lattice(8).A, 0), (tref20b, 1)):
             nu = estimate_inv_norm(A, f=factorize(A))
             with_f = len(factorize_calls)
+            if reused:
+                assert with_f == 0  # f alone carries Trefethen_20b's estimate
             assert nu == estimate_inv_norm(A)
             assert len(factorize_calls) - with_f == with_f + reused
             factorize_calls.clear()
@@ -271,6 +273,37 @@ class TestEstimateInvNorm:
     def test_lattice_factorizes_once(self, m, factorize_calls):
         estimate_inv_norm(gen_lattice(m).A)
         assert len(factorize_calls) == 1
+
+    @pytest.mark.parametrize("name", ["tref20b", "tref200b"], ids=["20b", "200b"])
+    def test_trefethen_factorizes_once(self, name, request, factorize_calls):
+        # lambda_1/lambda_2 is just above 1/2, which made inverse power iteration restart.
+        A = request.getfixturevalue(name)
+        assert estimate_inv_norm(A) == pytest.approx(dense_inv_norm(A), rel=1e-10)
+        assert len(factorize_calls) == 1
+
+    def test_clustered_pair_restarts_and_converges(self, factorize_calls):
+        # A rotated diag(1, 1.001, 2, ..., 10): its Gershgorin bound is negative,
+        # so A itself is factorized, and the pair 1, 1.001 contracts too slowly on
+        # that factor; the estimate must restart and still find lambda_1, not lambda_2.
+        rng = np.random.default_rng(1)
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        M = (Q * np.concatenate([[1.0, 1.001], np.linspace(2.0, 10.0, 18)])) @ Q.T
+        M = (M + M.T) / 2
+        off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+        assert np.min(np.diag(M) - off) <= 0
+        A = SparseSpdMatrix.from_dense(M)
+        assert estimate_inv_norm(A) == pytest.approx(dense_inv_norm(A), rel=1e-8)
+        assert len(factorize_calls) >= 2
+
+    def test_wide_spectrum(self):
+        # Eigenvalues 1 ... 1e4: a Ritz vector keeps a sliver along the largest
+        # eigenvectors that dominates its residual, so the certified vector must
+        # be the solve's output, whose slivers are damped by lambda_1/lambda.
+        rng = np.random.default_rng(1)
+        Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        M = (Q * np.logspace(0, 4, 12)) @ Q.T
+        A = SparseSpdMatrix.from_dense((M + M.T) / 2)
+        assert estimate_inv_norm(A, max_sweeps=50) == pytest.approx(dense_inv_norm(A), rel=1e-8)
 
     def test_trefethen_200b_factorizes_at_most_twice(self, tref200b, factorize_calls):
         assert estimate_inv_norm(tref200b) == pytest.approx(dense_inv_norm(tref200b), rel=1e-10)

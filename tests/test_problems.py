@@ -187,6 +187,17 @@ class TestMatrixMarket:
         with pytest.raises(DomainError, match="finite"):
             load_matrix_market(f)
 
+    def test_nan_from_duplicates_in_general_file_rejected_as_non_finite(self, tmp_path):
+        # inf + (-inf) sums to nan, which compares unequal to itself: it must be
+        # reported as non-finite, not as an asymmetric file, and raise no warning.
+        f = tmp_path / "nan.mtx"
+        write_lines(
+            f,
+            ["%%MatrixMarket matrix coordinate real general", "2 2 3", "1 1 inf", "1 1 -inf", "2 2 1"],
+        )
+        with pytest.raises(DomainError, match="finite"):
+            load_matrix_market(f)
+
     def test_malformed_header(self, tmp_path):
         f = tmp_path / "h.mtx"
         write_lines(f, ["%%NotMatrixMarket whatever", "1 1 1", "1 1 1"])
@@ -235,6 +246,33 @@ class TestMatrixMarket:
         f = tmp_path / "Trefethen_20b.mtx"
         save_matrix_market(tref20b, f)
         assert load_matrix_market(f).n == 19
+
+    @staticmethod
+    def reference_write(A, path):
+        """The entry-at-a-time writer that save_matrix_market must match byte for byte."""
+        coo = A.csr.tocoo()
+        keep = coo.row >= coo.col
+        r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
+            fh.write(f"{A.n} {A.n} {len(v)}\n")
+            for k in np.lexsort((r, c)):
+                fh.write(f"{r[k] + 1} {c[k] + 1} {v[k]:.17g}\n")
+
+    @pytest.mark.parametrize("name", ["tref20b", "tref200b"], ids=["20b", "200b"])
+    def test_writer_matches_reference_trefethen(self, tmp_path, name, request):
+        A = request.getfixturevalue(name)
+        save_matrix_market(A, tmp_path / "a.mtx")
+        self.reference_write(A, tmp_path / "ref.mtx")
+        assert (tmp_path / "a.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=random_ave_problems())
+    def test_writer_matches_reference_random_spd(self, tmp_path_factory, problem):
+        d = tmp_path_factory.mktemp("w")
+        save_matrix_market(problem.A, d / "a.mtx")
+        self.reference_write(problem.A, d / "ref.mtx")
+        assert (d / "a.mtx").read_bytes() == (d / "ref.mtx").read_bytes()
 
     @settings(max_examples=60, deadline=None)
     @given(problem=random_ave_problems())
@@ -302,7 +340,6 @@ def load_outcome(path):
 class TestMatrixMarketBulkParse:
     """The vectorized body parse against the line loop alone (the bulk pass made to decline)."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge duplicates sum to inf
     @pytest.mark.parametrize("malformation", [None, *MALFORMATIONS])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

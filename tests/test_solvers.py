@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +19,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
-from conftest import check_contraction_envelope, random_ave_problems, random_spd, run_with_history
+from conftest import check_contraction_envelope, dense_inv_norm, random_ave_problems, random_spd, run_with_history
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +192,29 @@ def test_sor_and_fpi_at_one_identical_on_random_problems(problem, k_max, data):
         assert sor[2].tobytes() == fpi[2].tobytes()
         # 0 * x + z can turn a -0.0 of z into +0.0, so x and y compare by value.
         assert np.array_equal(sor[3], fpi[3]) and np.array_equal(sor[4], fpi[4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ave_problems())
+def test_converged_error_bounded_by_residual(problem):
+    """With e = x - x* and r = A x - |x| - b, A e - (|x| - |x*|) = r and ||(|x| - |x*|)|| <= ||e||,
+    so ||e|| <= nu (||r|| + ||e||), i.e. ||e|| <= nu/(1 - nu) RES ||b|| when nu < 1.
+
+    Slack: 4 n eps ((||A||_F + 1)(||x|| + ||x*||) + ||b||) bounds the rounding in the computed r
+    and in the b built from x*; the same nu/(1 - nu) factor carries it to e.
+    """
+    nu = dense_inv_norm(problem.A)
+    # The "dominant" kind has nu <= 1/1.1; the "weak" kind has nu >= 1 up to rounding.
+    assume(nu < 0.95)
+    f = factorize(problem.A)
+    norm_b, norm_A = np.linalg.norm(problem.b), np.linalg.norm(problem.A.values)
+    for solver in (solve_sor_like, solve_fpi):
+        report = solver(problem, f, SolveConfig(parameter=1.0, k_max=5000))
+        assert report.converged
+        size = (norm_A + 1) * (np.linalg.norm(report.x) + np.linalg.norm(problem.x_star)) + norm_b
+        slack = 4 * problem.n * np.finfo(np.float64).eps * size
+        err = np.linalg.norm(report.x - problem.x_star)
+        assert err <= nu / (1 - nu) * (report.final_res * norm_b + slack)
 
 
 class TestGuaranteedConvergence:
