@@ -46,8 +46,8 @@ BENCH_ROWS = (
 _TEXT_LABELS = {"it": "IT", "cpu": "CPU", "res": "RES"}
 
 
-def _add_problem_flags(p, required=True):
-    group = p.add_mutually_exclusive_group(required=required)
+def _add_problem_flags(p):
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lattice", type=int, metavar="M", help="lattice problem of dimension M^2")
     group.add_argument("--matrix", metavar="PATH", help="Matrix Market file; RHS from alternating x*")
 

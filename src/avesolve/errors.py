@@ -49,8 +49,8 @@ class ParseError(AveError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class SymmetryError(AveError):
-    """Matrix declared general is not symmetric after assembly."""
+class SymmetryError(DomainError):
+    """Stored matrix values or pattern are not symmetric (raised by SparseSpdMatrix)."""
 
 
 class NoConvergentParameter(AveError):

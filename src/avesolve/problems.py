@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, DomainError, ParseError, SymmetryError
+from .errors import DimensionMismatch, DomainError, ParseError
 from .linalg import SparseSpdMatrix, matvec
 
 
@@ -100,7 +100,7 @@ def _bulk_body(body: list[str], n: int, nnz: int):
 
 
 def load_matrix_market(path) -> SparseSpdMatrix:
-    """Read a coordinate real symmetric (or value-symmetric general) file.
+    """Read a coordinate real symmetric file, or a general one (SymmetryError unless symmetric).
 
     The stored triangle is mirrored, duplicates are summed, indices are
     converted from 1-based to 0-based. After the size line a clean body is
@@ -173,7 +173,7 @@ def load_matrix_market(path) -> SparseSpdMatrix:
         coo.sum_duplicates()
     if symmetry == "symmetric":
         off = coo.row != coo.col
-        full = sp.coo_matrix(
+        coo = sp.coo_matrix(
             (
                 np.concatenate([coo.data, coo.data[off]]),
                 (
@@ -183,11 +183,7 @@ def load_matrix_market(path) -> SparseSpdMatrix:
             ),
             shape=(nrows, ncols),
         )
-    else:
-        full = coo.tocsr()
-        if np.isfinite(full.data).all() and (full != full.T).nnz != 0:
-            raise SymmetryError(f"general file {path} is not symmetric after assembly")
-    return SparseSpdMatrix.from_scipy(full)
+    return SparseSpdMatrix.from_scipy(coo)
 
 
 def save_matrix_market(A: SparseSpdMatrix, path) -> None:

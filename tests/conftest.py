@@ -37,6 +37,14 @@ def random_spd(rng, n):
     return M @ M.T + n * np.eye(n)
 
 
+def rotated_spd(eigenvalues, seed=1) -> SparseSpdMatrix:
+    """Q diag(eigenvalues) Q^T, symmetrized, with Q from the QR of a seeded Gaussian matrix."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    M = (Q * eigenvalues) @ Q.T
+    return SparseSpdMatrix.from_dense((M + M.T) / 2)
+
+
 def dense_inv_norm(A: SparseSpdMatrix) -> float:
     return 1.0 / np.linalg.eigvalsh(A.to_dense())[0]
 

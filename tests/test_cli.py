@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import avesolve
 from avesolve import SparseSpdMatrix, cli, gen_lattice, save_matrix_market
+from conftest import rotated_spd
 
 # The child process imports the same avesolve as this one, installed or not.
 _SRC = str(Path(avesolve.__file__).parents[1])
@@ -252,6 +254,19 @@ class TestBench:
             float(matrix[label][4])  # it ran and was timed
         assert matrix["SORLno"][3] == "15"
         assert matrix["FPIno"][3] == "12"
+
+    def test_nu_stall_costs_only_its_rows(self, tmp_path, capsys):
+        # lambda_max/lambda_min = 1e9 puts the nu certificate below its rounding floor.
+        path = str(tmp_path / "edge.mtx")
+        save_matrix_market(rotated_spd(np.logspace(0, 9, 30)), path)
+        assert cli.main(["ranges", "--matrix", path]) == 1
+        assert capsys.readouterr().err.startswith("error: nu estimate stalled")
+        rc = cli.main(["bench", "--lattice", "4", "--matrix", path, "--format", "csv"])
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert rc == 0
+        assert [row[:2] for row in rows] == [["lattice4", label] for label, _, _ in cli.BENCH_ROWS]
+        assert err.startswith(f"notice: {path}: nu estimate stalled") and err.count("\n") == 1
 
 
 class TestStrictJson:

@@ -16,7 +16,7 @@ from avesolve import (
     linalg,
     matvec,
 )
-from conftest import dense_inv_norm, random_spd
+from conftest import dense_inv_norm, random_spd, rotated_spd
 
 
 def tridiag(c, d, n):
@@ -295,15 +295,29 @@ class TestEstimateInvNorm:
         assert estimate_inv_norm(A) == pytest.approx(dense_inv_norm(A), rel=1e-8)
         assert len(factorize_calls) >= 2
 
-    def test_wide_spectrum(self):
+    def test_wide_spectrum(self, monkeypatch):
         # Eigenvalues 1 ... 1e4: a Ritz vector keeps a sliver along the largest
         # eigenvectors that dominates its residual, so the certified vector must
         # be the solve's output, whose slivers are damped by lambda_1/lambda.
-        rng = np.random.default_rng(1)
-        Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        M = (Q * np.logspace(0, 4, 12)) @ Q.T
-        A = SparseSpdMatrix.from_dense((M + M.T) / 2)
-        assert estimate_inv_norm(A, max_sweeps=50) == pytest.approx(dense_inv_norm(A), rel=1e-8)
+        A = rotated_spd(np.logspace(0, 4, 12))
+        solves = []
+        solve = linalg.FactorHandle.solve
+
+        def counted(f, r):
+            solves.append(r)
+            return solve(f, r)
+
+        monkeypatch.setattr(linalg.FactorHandle, "solve", counted)
+        assert estimate_inv_norm(A) == pytest.approx(dense_inv_norm(A), rel=1e-8)
+        assert len(solves) <= 50
+
+    def test_certificate_below_rounding_floor_fails_fast(self, factorize_calls):
+        # lambda_max/lambda_min = 1e9: eps * 1e9 is above tol = 1e-8, so no vector
+        # certifies and each stalled sweep refactorizes; the estimate must give up
+        # after a few of them.
+        with pytest.raises(ConvergenceFailure, match="rounding floor"):
+            estimate_inv_norm(rotated_spd(np.logspace(0, 9, 30)))
+        assert len(factorize_calls) <= 16
 
     def test_trefethen_200b_factorizes_at_most_twice(self, tref200b, factorize_calls):
         assert estimate_inv_norm(tref200b) == pytest.approx(dense_inv_norm(tref200b), rel=1e-10)
