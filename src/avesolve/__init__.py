@@ -5,9 +5,7 @@ from .errors import (
     BracketFailure,
     ConvergenceFailure,
     DimensionMismatch,
-    DivergenceError,
     DomainError,
-    NoConvergentParameter,
     NotPositiveDefinite,
     ParseError,
     SymmetryError,

@@ -1,8 +1,9 @@
 """Command-line front end: single solves, sweeps, parameter reports, benchmarks.
 
 Each command builds one record (a dict) or table (a list of dicts) for :func:`_emit`, the one
-writer of json, csv and text. Every printed solve runs through :func:`_run`, the one place a
-diverged iterate becomes a record; `solve` prints that record and `bench` makes its row from it.
+writer of json, csv and text. Every printed solve runs through :func:`_run`, the one place where a
+grid with no converged point or a diverged iterate becomes a record; `solve` prints that record and
+`bench` makes its row from it. Non-convergence is data, never an exception: it exits 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from .errors import AveError, DivergenceError, DomainError, NoConvergentParameter
+from .errors import AveError, DomainError
 from .linalg import estimate_inv_norm, factorize
 from .params import ParamEnvelope
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
@@ -143,28 +144,30 @@ def _emit(args, data, columns) -> None:
         sys.stdout.write(text)
 
 
-def _param(spec, problem, f, method, args) -> float:
-    """'optimal' (= 1), 'grid' (the sweep's best point) or a number."""
+def _param(spec, problem, f, method, args) -> float | None:
+    """'optimal' (= 1), 'grid' (the sweep's best point, None if no grid point converged) or a number."""
     if spec == "optimal":
         return 1.0
     if spec == "grid":
         base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-        return grid_argmin(problem, method, cfg=base, f=f)[0]
+        best = grid_argmin(problem, method, cfg=base, f=f)
+        return None if best is None else best[0]
     return float(spec)
 
 
 def _run(problem, f, method, param, args, repeats=1) -> dict:
-    """Solve at param: the record `solve` prints, with cpu averaged over repeats."""
+    """Solve at param (None: no parameter): the record `solve` prints, with cpu averaged over repeats."""
+    failed = {"param": param, "it": "-", "cpu": math.nan, "res": math.nan, "converged": False}
+    if param is None:
+        return {**failed, "param": "-", "note": "no grid point converged"}
     solver = solve_sor_like if method == "sor" else solve_fpi
     cfg = SolveConfig(parameter=param, tol=args.tol, k_max=args.kmax)
-    try:
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            report = solver(problem, f, cfg)
-        cpu = (time.perf_counter() - t0) / repeats
-    except DivergenceError as exc:
-        return {"param": param, "it": "-", "cpu": math.nan, "res": math.nan, "converged": False,
-                "note": str(exc)}
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        report = solver(problem, f, cfg)
+    cpu = (time.perf_counter() - t0) / repeats
+    if report.diverged:
+        return {**failed, "note": f"non-finite iterate at iteration {report.iterations}"}
     return {"param": param, "it": str(report.iterations) if report.converged else "-", "cpu": cpu,
             "res": report.final_res, "converged": report.converged}
 
@@ -172,12 +175,7 @@ def _run(problem, f, method, param, args, repeats=1) -> dict:
 def cmd_solve(args) -> int:
     problem = _load_problem(args.lattice, args.matrix)
     f = factorize(problem.A)
-    try:
-        param = _param(args.param, problem, f, args.method, args)
-    except NoConvergentParameter as exc:
-        rec = {"param": "-", "it": "-", "cpu": math.nan, "res": math.nan, "converged": False, "note": str(exc)}
-    else:
-        rec = _run(problem, f, args.method, param, args)
+    rec = _run(problem, f, args.method, _param(args.param, problem, f, args.method, args), args)
     _emit(args, rec, SOLVE_COLUMNS)
     return EXIT_OK if rec["converged"] else EXIT_NO_CONVERGENCE
 
@@ -191,10 +189,11 @@ def cmd_sweep(args) -> int:
         rows = [{"param": f"{p:.3f}", "it": "-" if it == result.sentinel else str(int(it))}
                 for p, it in zip(result.grid, result.iterations)]
         _emit(args, rows, ["param", "it"])
+        best = result.min_it
     else:
-        best_param, min_it = grid_argmin(problem, args.method, cfg=base)
-        _emit(args, {"best_param": best_param, "min_it": min_it}, ["best_param", "min_it"])
-    return EXIT_OK
+        best = grid_argmin(problem, args.method, cfg=base)
+        _emit(args, dict(zip(["best_param", "min_it"], best or ("-", "-"))), ["best_param", "min_it"])
+    return EXIT_OK if best is not None else EXIT_NO_CONVERGENCE
 
 
 def cmd_ranges(args) -> int:
@@ -251,14 +250,10 @@ def cmd_bench(args) -> int:
         for label, method, spec in BENCH_ROWS:
             row = {"problem": prob_name, "method": label, "param": "-", "it": "-", "cpu": "-", "res": "-"}
             spec = omega_chen if spec == "chen" else spec
-            try:
-                param = None if spec is None else _param(spec, problem, f, method, args)
-            except NoConvergentParameter:
-                param = None
-            if param is not None:
-                rec = _run(problem, f, method, param, args, repeats=5)
-                shown = ["param", "it"] if "note" in rec else SOLVE_COLUMNS  # diverged: no cpu, res
-                row.update((c, _cell(c, rec[c])) for c in shown)
+            param = None if spec is None else _param(spec, problem, f, method, args)
+            rec = _run(problem, f, method, param, args, repeats=5)
+            shown = ["param", "it"] if "note" in rec else SOLVE_COLUMNS  # failed: no cpu, res
+            row.update((c, _cell(c, rec[c])) for c in shown)
             rows.append(row)
     _emit(args, rows, BENCH_COLUMNS)
     return EXIT_OK

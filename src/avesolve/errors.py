@@ -25,14 +25,6 @@ class ConvergenceFailure(AveError):
     """An inner iteration (e.g. the nu estimate) did not converge."""
 
 
-class DivergenceError(AveError):
-    """A solver iterate became non-finite."""
-
-    def __init__(self, iteration: int):
-        self.iteration = iteration
-        super().__init__(f"non-finite iterate at iteration {iteration}")
-
-
 class BracketFailure(AveError):
     """Bisection bracket endpoints do not straddle a sign change."""
 
@@ -51,7 +43,3 @@ class ParseError(AveError):
 
 class SymmetryError(DomainError):
     """Stored matrix values or pattern are not symmetric (raised by SparseSpdMatrix)."""
-
-
-class NoConvergentParameter(AveError):
-    """No grid point in a parameter sweep converged."""

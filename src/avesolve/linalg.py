@@ -27,6 +27,7 @@ factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,7 +259,8 @@ def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
 def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorHandle:
     """Factorization of A - sigma*I at sigma = shift - margin, backing off until it is SPD.
 
-    The margin grows 4x, from |shift|*1e-15 if it starts at 0, while A - sigma*I
+    The margin grows 4x, from |shift|*1e-15 (at least the least normal double,
+    so that a subnormal shift still moves) if it starts at 0, while A - sigma*I
     is not SPD. A sigma at or above the least diagonal entry is not tried:
     that entry bounds lambda_min(A) from above.
     """
@@ -270,7 +272,18 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
                 return factorize(_shifted(A, sigma))
             except NotPositiveDefinite:
                 pass
-        margin = max(4.0 * margin, abs(shift) * 1e-15)
+        margin = max(4.0 * margin, abs(shift) * 1e-15, np.finfo(np.float64).tiny)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of v scaled by a power of two, so that no square overflows or underflows.
+
+    The scaling is exact: where np.linalg.norm(v) neither overflows nor
+    underflows, the result has its bits. A norm above the float range is inf.
+    """
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | None = None) -> float:
@@ -301,6 +314,9 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
     - After _STALL_SWEEPS sweeps in a row that do not halve the best relative
       residual (tol is then below its rounding floor), ConvergenceFailure is
       raised. The loop always ends: a positive double halves only ~2100 times.
+    - Every norm is taken on a vector scaled by a power of two (:func:`_norm`),
+      so A at any scale gets its nu; a nu above the float range, from a
+      lambda_min below about 5.6e-309, raises DomainError instead of inf.
     """
     if not 0 < tol < 1:
         raise DomainError("tol must lie in (0, 1)")
@@ -315,7 +331,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         f = factorize(A)
     margin = 0.0
     v = np.arange(1.0, A.n + 1)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     p, res_prev, best, stalls = None, np.inf, np.inf, 0
     while stalls < _STALL_SWEEPS:
         if f is None:
@@ -324,20 +340,22 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         # Gram-Schmidt passes; a direction (nearly) inside the span so far is dropped.
         basis = []
         for w in [f.solve(v), v] if p is None else [f.solve(v), v, p]:
-            w = w / np.linalg.norm(w)
+            w = w / _norm(w)
             for _ in range(2):
                 for u in basis:
                     w -= (u @ w) * u
-            norm = np.linalg.norm(w)
+            norm = _norm(w)
             if norm > 1e-10:
                 basis.append(w / norm)
         images = [matvec(A, u) for u in basis]
         z, Az = basis[0], images[0]
         lam = float(z @ Az)
-        res = float(np.linalg.norm(Az - lam * z))
+        res = _norm(Az - lam * z)
         # Symmetric eigenvalue perturbation: some eigenvalue lies within res
         # of lam, and z tracks the minimal eigenvector, so res bounds the error.
         if res <= tol * abs(lam):
+            if not math.isfinite(1.0 / lam):
+                raise DomainError(f"nu = 1/lambda_min overflows: lambda_min = {lam:.3g}")
             return 1.0 / lam
         if res > 0.5 * res_prev:
             # Contracting slowly: re-center the factorization just below lam,
@@ -349,7 +367,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         # Rayleigh-Ritz: the next v is the smallest Ritz vector of A on the basis.
         y = np.linalg.eigh([[u @ Au for Au in images] for u in basis])[1][:, 0]
         p, v = v, sum(c * u for c, u in zip(y, basis))
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
     floor = np.finfo(np.float64).eps * np.max(A.values[on_diag] + off) / abs(lam)  # Gershgorin ||A|| bound
     raise ConvergenceFailure(f"nu estimate stalled: best relative residual {best:.3g} did not halve in {_STALL_SWEEPS}"
                              f" sweeps (tol {tol:g}; rounding floor up to eps*||A||/lambda = {floor:.3g})")

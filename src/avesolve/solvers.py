@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, DomainError
+from .errors import DimensionMismatch, DomainError
 from .linalg import FactorHandle, matvec
 from .problems import AveProblem
 
@@ -63,6 +63,7 @@ class SolveConfig:
 @dataclass
 class SolveReport:
     converged: bool
+    diverged: bool  # x or y became non-finite at update `iterations`; x, y are that iterate
     iterations: int
     final_res: float
     x: np.ndarray
@@ -200,11 +201,9 @@ def _solve(problem: AveProblem, f: FactorHandle, cfg: SolveConfig, method: str) 
             iterate_history.append(tuple(last))
 
     stops = iterate_block(problem, f, method, [cfg.parameter], cfg.tol, cfg.k_max, x0, y0, observe)
-    k = int(stops.iterations[0])
-    if stops.diverged[0]:
-        raise DivergenceError(k)
     x, y = last
-    return SolveReport(bool(stops.converged[0]), k, float(stops.res[0]), x, y, res_history, iterate_history)
+    return SolveReport(bool(stops.converged[0]), bool(stops.diverged[0]), int(stops.iterations[0]),
+                       float(stops.res[0]), x, y, res_history, iterate_history)
 
 
 def solve_sor_like(problem: AveProblem, f: FactorHandle, cfg: SolveConfig) -> SolveReport:

@@ -9,6 +9,8 @@ factor-solve for all running columns. Two searches share it:
 - :func:`grid_argmin` finds only the first grid point attaining the least
   count, the same one grid_search finds: it starts next to the analytical
   optimum 1 and stops each chunk of columns at its first converged step.
+
+A grid with no converged point is a result, not an error: its best point is None.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergentParameter
+from .errors import DomainError
 from .linalg import FactorHandle, factorize
 from .params import range_fpi_new, range_fpi_old, range_sor_new
 from .problems import AveProblem
@@ -33,8 +35,8 @@ def default_grid() -> np.ndarray:
 class SweepResult:
     grid: np.ndarray
     iterations: np.ndarray  # sentinel k_max + 1 marks non-convergence
-    best_param: float
-    min_it: int
+    best_param: float | None  # None when no grid point converged
+    min_it: int | None
     sentinel: int
 
 
@@ -45,8 +47,9 @@ def _sweep(
     cfg: SolveConfig | None,
     f: FactorHandle | None,
     argmin: bool,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The validated grid, its iteration counts (sentinel where not converged) and the sentinel."""
+) -> tuple[np.ndarray, np.ndarray, int, tuple[float, int] | None]:
+    """The validated grid, its iteration counts (sentinel where not converged), the sentinel and
+    (best_param, min_it) of the first grid point attaining the least count, None if none converged."""
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
@@ -61,9 +64,8 @@ def _sweep(
     stops = iterate_block(problem, f, method, grid, base.tol, base.k_max, zeros, zeros, argmin=argmin)
     sentinel = base.k_max + 1
     its = np.where(stops.converged, stops.iterations, sentinel)
-    if np.all(its == sentinel):
-        raise NoConvergentParameter("no grid point converged")
-    return grid, its, sentinel
+    best = int(np.argmin(its))
+    return grid, its, sentinel, (float(grid[best]), int(its[best])) if stops.converged[best] else None
 
 
 def grid_search(
@@ -75,11 +77,11 @@ def grid_search(
 ) -> SweepResult:
     """Run the chosen solver at every grid point from zero starting vectors.
 
-    best_param is the first grid point attaining the minimal iteration count.
+    best_param is the first grid point attaining the minimal iteration count, min_it that count;
+    both are None when no grid point converged.
     """
-    grid, its, sentinel = _sweep(problem, method, grid, cfg, f, argmin=False)
-    best = int(np.argmin(its))
-    return SweepResult(grid, its, float(grid[best]), int(its[best]), sentinel)
+    grid, its, sentinel, best = _sweep(problem, method, grid, cfg, f, argmin=False)
+    return SweepResult(grid, its, *(best or (None, None)), sentinel)
 
 
 def grid_argmin(
@@ -88,14 +90,12 @@ def grid_argmin(
     grid: np.ndarray | None = None,
     cfg: SolveConfig | None = None,
     f: FactorHandle | None = None,
-) -> tuple[float, int]:
+) -> tuple[float, int] | None:
     """(best_param, min_it) of :func:`grid_search`, without running every point to its end.
 
-    Raises NoConvergentParameter exactly when grid_search does.
+    None exactly when grid_search finds no converged grid point.
     """
-    grid, its, _ = _sweep(problem, method, grid, cfg, f, argmin=True)
-    best = int(np.argmin(its))
-    return float(grid[best]), int(its[best])
+    return _sweep(problem, method, grid, cfg, f, argmin=True)[3]
 
 
 def domain_curves(nu_grid: np.ndarray) -> list[dict]:

@@ -76,6 +76,19 @@ class TestSolve:
             rec = strict_json(out)
             assert (rec["param"], rec["it"], rec["converged"]) == ("-", "-", False)
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_sweep_without_converged_point_exit_2(self, capsys, fmt):
+        rc, out = run_main(capsys, "sweep", "--lattice", "8", "--method", "sor", "--kmax", "1", "--format", fmt)
+        assert rc == 2
+        if fmt == "text":
+            assert out == "best_param -  min_it -\n"
+        elif fmt == "json":
+            assert strict_json(out) == {"best_param": "-", "min_it": "-"}
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "param,it" and len(lines) == 1 + 1999
+            assert all(line.endswith(",-") for line in lines[1:])
+
     def test_json_format(self):
         r = run_cli("solve", "--lattice", "4", "--method", "fpi", "--param", "optimal",
                     "--format", "json")

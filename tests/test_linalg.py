@@ -345,6 +345,27 @@ class TestEstimateInvNorm:
             estimate_inv_norm(SparseSpdMatrix.from_dense(lattice_laplacian(6)))
         assert len(factorize_calls) == 1
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e200])
+    def test_diagonal_at_extreme_scale(self, s):
+        # At these scales a squared component of z = (A - sigma*I)^{-1} v or of
+        # the residual leaves the float range; the norms must not.
+        A = SparseSpdMatrix.from_dense(np.diag([s, 2 * s]))
+        assert estimate_inv_norm(A) == pytest.approx(1 / s, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_lattice_scaled_by_power_of_two(self, k):
+        # nu(2^k A) = 2^-k nu(A), also where the squares of A's scale leave the float range.
+        A = gen_lattice(8).A
+        scaled = SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, np.ldexp(A.values, k))
+        assert estimate_inv_norm(scaled) == pytest.approx(np.ldexp(estimate_inv_norm(A), -k), rel=1e-12)
+
+    def test_subnormal_lambda_min_fails_instead_of_inf(self, factorize_calls):
+        # The shift 1e-310 is subnormal, so 1e-15 of it underflows to 0 and the
+        # back-off margin must still move; 1/1e-310 overflows, which must not pass as nu.
+        with pytest.raises(DomainError, match="overflows"):
+            estimate_inv_norm(SparseSpdMatrix.from_dense(np.diag([1e-310, 2e-310])))
+        assert len(factorize_calls) == 1
+
     def test_matches_dense_oracle(self, tref20b):
         rng = np.random.default_rng(3)
         matrices = [gen_lattice(m).A for m in (2, 3, 8, 12)] + [tref20b]

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avesolve import (
-    DivergenceError,
     DomainError,
-    NoConvergentParameter,
     SolveConfig,
     default_grid,
     domain_curves,
@@ -81,9 +79,10 @@ class TestGridSearch:
 
     def test_no_convergent_parameter(self, lattice8):
         p, f = lattice8
-        for search in (grid_search, grid_argmin):
-            with pytest.raises(NoConvergentParameter):
-                search(p, "sor", grid=np.array([1.99]), f=f)
+        result = grid_search(p, "sor", grid=np.array([1.99]), f=f)
+        assert result.best_param is None and result.min_it is None
+        assert result.iterations.tolist() == [result.sentinel]
+        assert grid_argmin(p, "sor", grid=np.array([1.99]), f=f) is None
 
     def test_rejects_bad_grid(self, lattice8):
         p, f = lattice8
@@ -107,12 +106,11 @@ class TestGridSearch:
         solver = solve_sor_like if method == "sor" else solve_fpi
         expected, diverged = [], []
         for param in grid:
-            try:
-                report = solver(p, f, SolveConfig(parameter=float(param)))
-            except DivergenceError:
+            report = solver(p, f, SolveConfig(parameter=float(param)))
+            if report.diverged:
                 diverged.append(param)
-                expected.append(101)
-                continue
+                # The report holds the iterate that went non-finite: x stays finite, y overflows.
+                assert not report.converged and not np.isfinite(np.concatenate([report.x, report.y])).all()
             expected.append(report.iterations if report.converged else 101)
         assert diverged == [1e4] and 101 in expected[:-1]
         if chunk_columns is not None:
@@ -167,13 +165,9 @@ def test_grid_argmin_matches_grid_search(problem, method, grid, tol, k_max, chun
     cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
-        try:
-            full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
-        except NoConvergentParameter:
-            with pytest.raises(NoConvergentParameter):
-                grid_argmin(problem, method, grid=grid, cfg=cfg, f=f)
-            return
-        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == (full.best_param, full.min_it)
+        full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
+        best = None if full.min_it is None else (full.best_param, full.min_it)
+        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
 
 
 class TestDomainCurves:
