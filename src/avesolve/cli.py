@@ -105,7 +105,9 @@ def _cell(column: str, value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.4e}" if column == "res" else f"{value:.4f}"
+        # .4f shows 0 and [1e-4, 1e6) well; a float outside that, and every RES, is shown as .4e.
+        fixed = column != "res" and (value == 0 or 1e-4 <= abs(value) < 1e6)
+        return f"{value:.4f}" if fixed else f"{value:.4e}"
     return str(value)
 
 

@@ -27,6 +27,7 @@ factorization.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -251,9 +252,17 @@ def _singular_pivot(A: SparseSpdMatrix) -> int:
 
 
 def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
+    """A - sigma*I for sigma below A's least diagonal entry, built without SparseSpdMatrix's checks.
+
+    Only the diagonal values differ from the validated A: the pattern and symmetry are A's, and every
+    diagonal entry stays positive.
+    """
     values = A.values.copy()
     values[A.rows == A.col_idx] -= sigma
-    return SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, values)
+    shifted = copy.copy(A)
+    object.__setattr__(shifted, "values", values)
+    object.__setattr__(shifted, "csr", sp.csr_matrix((values, A.col_idx, A.row_ptr), shape=(A.n, A.n)))
+    return shifted
 
 
 def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorHandle:
@@ -273,6 +282,12 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
             except NotPositiveDefinite:
                 pass
         margin = max(4.0 * margin, abs(shift) * 1e-15, np.finfo(np.float64).tiny)
+
+
+def check_tol(tol: float) -> None:
+    """The one tolerance rule, for the iterations and the nu estimate: tol lies in (0, 1)."""
+    if not 0 < tol < 1:
+        raise DomainError("tol must lie in (0, 1)")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -318,8 +333,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
       so A at any scale gets its nu; a nu above the float range, from a
       lambda_min below about 5.6e-309, raises DomainError instead of inf.
     """
-    if not 0 < tol < 1:
-        raise DomainError("tol must lie in (0, 1)")
+    check_tol(tol)
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
     on_diag = A.rows == A.col_idx

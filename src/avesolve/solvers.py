@@ -3,9 +3,12 @@
 Both schemes reuse one factorization of A. :func:`iterate_block` runs one
 iteration per parameter, each as one row of a p x n block of iterates, with
 one multi-RHS factor-solve and one block residual per step for all the
-columns still running. A single solve is the one-column case. The relative
-residual RES is evaluated after each full (x, y) update; the iteration count
-is the number of full updates performed.
+columns still running. A single solve is the one-column case, and every
+solve takes this path. A sweep first decides what it can on one Krylov
+basis (:mod:`avesolve.sweep`); iterate_block is its fallback for the grid
+points that basis cannot certify. The relative residual RES is evaluated
+after each full (x, y) update; the iteration count is the number of full
+updates performed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, matvec
+from .linalg import FactorHandle, check_tol, matvec
 from .problems import AveProblem
 
 # Columns are run in chunks small enough that one n x chunk block of iterates
@@ -44,8 +47,7 @@ class SolveConfig:
     def __post_init__(self):
         if not (math.isfinite(self.parameter) and self.parameter > 0):
             raise DomainError("iteration parameter must be positive and finite")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise DomainError("tol must be positive and finite")
+        check_tol(self.tol)
         if self.k_max < 1:
             raise DomainError("k_max must be at least 1")
         for v in (self.x0, self.y0):

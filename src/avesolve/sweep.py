@@ -1,14 +1,20 @@
 """Grid search for numerically optimal parameters and convergence-domain data.
 
-A sweep runs every grid point as one column of a block iteration
-(:func:`avesolve.solvers.iterate_block`): each step does one multi-RHS
-factor-solve for all running columns. Two searches share it:
+One Krylov basis serves the whole grid (:func:`_krylov_counts`): while the
+iterates keep the sign pattern of A^{-1} b, both iterations are linear, and
+every grid point advances as a short row of coefficients on one basis built
+with one solve per step. A grid point's count is taken from it only where a
+stated rounding margin certifies that the direct iteration stops at the same
+step. Every other grid point runs in the direct block iteration
+(:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
+multi-RHS factor-solve per step. Two searches share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
-  count, the same one grid_search finds: it starts next to the analytical
-  optimum 1 and stops each chunk of columns at its first converged step.
+  count, the same one grid_search finds: the Krylov path stops at k*, the
+  first step at which a certified column converges, and the direct columns
+  run at most k* steps, the chunk next to the analytical optimum 1 first.
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solvers
 from .errors import DomainError
-from .linalg import FactorHandle, factorize
+from .linalg import FactorHandle, factorize, matvec
 from .params import range_fpi_new, range_fpi_old, range_sor_new
 from .problems import AveProblem
 from .solvers import SolveConfig, iterate_block
@@ -40,6 +47,132 @@ class SweepResult:
     sentinel: int
 
 
+# The Krylov basis holds at most this many vectors (default k_max 100 fits); a column still
+# undecided when it is full falls back to the direct iteration.
+_MAX_BASIS = 128
+
+_EPS = np.finfo(np.float64).eps
+# A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
+# no product the direct iteration forms can overflow where the Krylov one does not, or the reverse.
+_HEADROOM = _EPS * np.finfo(np.float64).max
+
+
+def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(h, w - Q^T h, its norm): w against the rows of Q by two Gram-Schmidt passes."""
+    h = np.zeros(len(Q))
+    for _ in range(2):
+        step = Q @ w
+        w = w - step @ Q
+        h += step
+    return h, w, float(np.linalg.norm(w))
+
+
+def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.ndarray, tol: float, k_max: int,
+                   argmin: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
+
+    While every iterate keeps the sign pattern D = diag(sign u) of u = A^{-1} b, both iterations are
+    linear in x, and from zero start vectors x_k = V c_k and y_k = D V g_k lie in the Krylov space of
+    A^{-1} D and u, whatever the parameter w. Arnoldi builds V and H (A^{-1} D V = V H), one solve
+    per step, and every grid point advances as a row of coefficients:
+
+    - FPI: c_k = beta e_1 + H g_{k-1}, g_k = (1 - w) g_{k-1} + w c_k;
+    - SOR: c_k = (1 - w) c_{k-1} + w (beta e_1 + H g_{k-1}), g_k = (1 - w) g_{k-1} + w c_k.
+
+    RES_k = ||R [-1; c_k]|| / ||b||, with Q R = [b, (A - D) V] grown one column per step. A basis
+    that stops growing spans an invariant space, in which H is exact and the iteration goes on.
+
+    The direct iterate and its RES differ from these by rounding, at most about
+    margin_k = 2 k eps ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound: each step adds
+    a backward-stable solve (error about eps ||A|| ||x_k|| while nu < 1) and the rounding of a residual.
+    Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the differences in x and in RES near
+    tol stay below 4 % of that. A column's count stands (certified) only if at every step up to the
+    one deciding it:
+
+    - every d_i x_i exceeds margin_k, so the direct iterate has the signs of D;
+    - |RES_k - tol| exceeds margin_k / ||b||, so the direct RES is on the same side of tol;
+    - its coefficients are finite and below _HEADROOM.
+
+    A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
+    ``argmin``, at k*, the first step at which any certified column converges: no other column
+    can then beat it on count. Returns the counts (k_max + 1 where not converged) and the certified
+    mask; every other column is for :func:`avesolve.solvers.iterate_block` to run.
+    """
+    n, b, A = problem.n, problem.b, problem.A
+    p = len(grid)
+    its = np.full(p, k_max + 1)
+    certified = np.zeros(p, dtype=bool)
+    u = f.solve(b)
+    beta = float(np.linalg.norm(u))
+    if not beta > 0:
+        return its, certified  # b = 0: the direct iteration reports it
+    d = np.sign(u)
+    norm_A = float(np.bincount(A.rows, weights=np.abs(A.values), minlength=n).max())
+    norm_b = float(np.linalg.norm(b))
+    cap = min(k_max, n, _MAX_BASIS)
+    V, H = np.zeros((cap, n)), np.zeros((cap, cap))
+    Q, R = np.zeros((cap + 1, n)), np.zeros((cap + 1, cap + 1))
+    V[0] = u / beta
+    Q[0], R[0, 0] = b / norm_b, norm_b
+
+    def add_residual_column(j):
+        column = matvec(A, V[j - 1]) - d * V[j - 1]
+        R[:j, j], q, norm = _orthogonalize(Q[:j], column)
+        if norm > j * _EPS * np.linalg.norm(column):  # else the column lies in span Q: R[j, j] = 0, Q[j] = 0
+            R[j, j], Q[j] = norm, q / norm
+
+    add_residual_column(1)
+    m, invariant = 1, False
+    cols = np.arange(p)
+    w = grid[:, None]
+    C = G = np.zeros((p, 1))
+    ref_C = np.zeros((p, 1))
+    ref_slack = np.full(p, -np.inf)  # min_i d_i x_i at ref_C, the last iterate whose signs were computed
+    chunk = max(1, solvers.BLOCK_BYTES // (8 * n))
+    sor = method == "sor"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            if k > 1 and not invariant:
+                if m == cap < n:
+                    break  # the basis is full: the undecided columns fall back
+                z = f.solve(d * V[m - 1])
+                h, z_perp, norm = _orthogonalize(V[:m], z)
+                H[:m, m - 1] = h
+                if m == n or norm <= m * _EPS * np.linalg.norm(z):
+                    invariant = True
+                else:
+                    H[m, m - 1], V[m] = norm, z_perp / norm
+                    m += 1
+                    add_residual_column(m)
+            S = G @ H[:m, :G.shape[1]].T
+            S[:, 0] += beta
+            if C.shape[1] < m:  # the basis grew: widen the coefficient rows with zeros
+                C, G, ref_C = (np.hstack([X, np.zeros((len(X), m - X.shape[1]))]) for X in (C, G, ref_C))
+            C = (1.0 - w) * C + w * S if sor else S
+            G = (1.0 - w) * G + w * C
+            norm_x = np.linalg.norm(C, axis=1)
+            margin = 2 * k * _EPS * ((norm_A + 1.0) * norm_x + norm_b)
+            res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
+            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
+            ok &= np.abs(res - tol) * norm_b > margin
+            # ||V (c - c_ref)||_inf <= ||c - c_ref||_2 bounds how far the signs can have moved since ref_C.
+            slack = ref_slack - np.linalg.norm(C - ref_C, axis=1)
+            unsure = np.flatnonzero(ok & (slack <= margin))
+            for rows in (unsure[i:i + chunk] for i in range(0, len(unsure), chunk)):
+                slack[rows] = ref_slack[rows] = np.min((C[rows] @ V[:m]) * d, axis=1)
+                ref_C[rows] = C[rows]
+            ok &= slack > margin
+            good = ok & (res <= tol)
+            its[cols[good]] = k
+            done = ok if (k == k_max or argmin and good.any()) else good
+            certified[cols[done]] = True
+            keep = ok & ~done
+            if not keep.any():
+                break
+            cols, w, C, G, ref_C, ref_slack = cols[keep], w[keep], C[keep], G[keep], ref_C[keep], ref_slack[keep]
+    return its, certified
+
+
 def _sweep(
     problem: AveProblem,
     method: str,
@@ -49,7 +182,11 @@ def _sweep(
     argmin: bool,
 ) -> tuple[np.ndarray, np.ndarray, int, tuple[float, int] | None]:
     """The validated grid, its iteration counts (sentinel where not converged), the sentinel and
-    (best_param, min_it) of the first grid point attaining the least count, None if none converged."""
+    (best_param, min_it) of the first grid point attaining the least count, None if none converged.
+
+    The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, up to
+    k_max or, with ``argmin``, up to the least certified count (a tie still goes to the lowest index).
+    """
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
@@ -60,12 +197,16 @@ def _sweep(
     base = cfg if cfg is not None else SolveConfig(parameter=1.0)
     if f is None:
         f = factorize(problem.A)
-    zeros = np.zeros(problem.n)
-    stops = iterate_block(problem, f, method, grid, base.tol, base.k_max, zeros, zeros, argmin=argmin)
     sentinel = base.k_max + 1
-    its = np.where(stops.converged, stops.iterations, sentinel)
+    its, certified = _krylov_counts(problem, f, method, grid, base.tol, base.k_max, argmin)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        cap = min(base.k_max, int(its.min())) if argmin else base.k_max
+        zeros = np.zeros(problem.n)
+        stops = iterate_block(problem, f, method, grid[rest], base.tol, cap, zeros, zeros, argmin=argmin)
+        its[rest] = np.where(stops.converged, stops.iterations, sentinel)
     best = int(np.argmin(its))
-    return grid, its, sentinel, (float(grid[best]), int(its[best])) if stops.converged[best] else None
+    return grid, its, sentinel, (float(grid[best]), int(its[best])) if its[best] < sentinel else None
 
 
 def grid_search(

@@ -14,6 +14,7 @@ from conftest import rotated_spd
 
 # The child process imports the same avesolve as this one, installed or not.
 _SRC = str(Path(avesolve.__file__).parents[1])
+DATA = Path(__file__).parent / "data"
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 
@@ -105,6 +106,25 @@ class TestSolve:
             assert cli.main(["bench", "--lattice", "4", flag, value]) == 1
             assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "bench"])
+    @pytest.mark.parametrize("tol", ["2", "1", "0", "-1e-8"])
+    def test_tol_outside_unit_interval_exit_1(self, capsys, command, tol):
+        # tol = 2 used to "converge" at IT 1 with RES 0.127; the nu estimate already demanded (0, 1).
+        method = [] if command == "bench" else ["--method", "fpi"]
+        assert cli.main([command, "--lattice", "8", *method, f"--tol={tol}"]) == 1
+        assert capsys.readouterr() == ("", "error: tol must lie in (0, 1)\n")
+
+    @pytest.mark.parametrize("param, shown", [("1e308", "1.0000e+308"), ("1e-320", "9.9999e-321"),
+                                              ("1e6", "1.0000e+06"), ("0.00009", "9.0000e-05"),
+                                              ("0.0001", "0.0001"), ("999999", "999999.0000"), ("0.5", "0.5000")])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_extreme_param_shown_in_exponent_form(self, capsys, param, shown, fmt):
+        rc, out = run_main(capsys, "solve", "--lattice", "2", "--method", "fpi", "--param", param, "--kmax", "1",
+                           "--format", fmt)
+        assert rc in (0, 2)
+        cell = out.split()[1] if fmt == "text" else out.splitlines()[1].split(",")[0]
+        assert cell == shown
+
     def test_bad_matrix_path_exit_1(self):
         r = run_cli("solve", "--matrix", "/nonexistent.mtx", "--method", "sor",
                     "--param", "1.0")
@@ -154,6 +174,14 @@ class TestSweep:
         rc, out = run_main(capsys, "sweep", "--lattice", "4", "--method", "fpi", "--format", "text")
         assert rc == 0
         assert out == "best_param 0.9510  min_it 11\n"
+
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    def test_lattice8_csv_matches_golden_file(self, tmp_path, method):
+        # tests/data holds this table as printed by the direct block iteration alone, before the Krylov path.
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--lattice", "8", "--method", method, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"sweep_lattice8_{method}.csv").read_bytes()
 
 
 class TestRanges:

@@ -93,8 +93,9 @@ class TestSorLike:
         assert report.iterations == 11
 
     def test_huge_tol_one_iteration(self, lattice8):
+        # tol must lie in (0, 1); RES after the first update is 0.127, so the largest tol stops there.
         p, f = lattice8
-        report = solve_sor_like(p, f, SolveConfig(parameter=1.0, tol=1e300, k_max=1))
+        report = solve_sor_like(p, f, SolveConfig(parameter=1.0, tol=np.nextafter(1.0, 0.0), k_max=1))
         assert report.converged and report.iterations == 1
 
     def test_out_of_range_omega_does_not_converge(self, lattice8):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from avesolve import (
     DomainError,
     SolveConfig,
+    alternating_xstar,
+    build_rhs,
     default_grid,
     domain_curves,
     estimate_inv_norm,
@@ -19,7 +21,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
-from avesolve import solvers
+from avesolve import solvers, sweep
 from conftest import random_ave_problems
 
 
@@ -168,6 +170,83 @@ def test_grid_argmin_matches_grid_search(problem, method, grid, tol, k_max, chun
         full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
         best = None if full.min_it is None else (full.best_param, full.min_it)
         assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
+
+
+def _direct_counts(problem, f, method, grid, tol=1e-8, k_max=100):
+    """Every grid point's count from the direct block iteration alone, k_max + 1 where not converged."""
+    zeros = np.zeros(problem.n)
+    stops = solvers.iterate_block(problem, f, method, grid, tol, k_max, zeros, zeros)
+    return np.where(stops.converged, stops.iterations, k_max + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    random_ave_problems(),
+    st.sampled_from(["sor", "fpi"]),
+    ascending_grids.map(lambda grid: np.union1d(grid, [1e4])),
+    st.floats(1e-10, 1e-2),
+    st.integers(1, 40),
+    st.integers(1, 4),
+)
+def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, k_max, chunk_columns):
+    # A zero component of x* leaves the sign pattern unsettled (fallback columns); n <= 6 makes the
+    # Krylov basis break down into an invariant space; 1e4 overflows.
+    f = factorize(problem.A)
+    cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
+    expected = np.concatenate([_direct_counts(problem, f, method, [w], tol, k_max) for w in grid])
+    best = None if expected.min() > k_max else (float(grid[np.argmin(expected)]), int(expected.min()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
+        assert grid_search(problem, method, grid=grid, cfg=cfg, f=f).iterations.tolist() == expected.tolist()
+        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
+
+
+class TestKrylovPath:
+    @pytest.fixture(scope="class", params=["lattice8", "tref200b"])
+    def problem(self, request):
+        if request.param == "lattice8":
+            return gen_lattice(8)
+        A = request.getfixturevalue("tref200b")
+        return build_rhs(A, alternating_xstar(A.n))
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    def test_all_counts_match_direct_iteration(self, problem, method):
+        f = factorize(problem.A)
+        grid = default_grid()
+        direct = _direct_counts(problem, f, method, grid)
+        its, certified = sweep._krylov_counts(problem, f, method, grid, 1e-8, 100, argmin=False)
+        # Certified: 1717 (FPI) and 1414 (SOR) on lattice 8, 1447 and 1233 on Trefethen_200b.
+        assert certified.sum() > 1000
+        assert its[certified].tolist() == direct[certified].tolist()
+        assert grid_search(problem, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    @pytest.mark.parametrize("param", [0.94, 0.97, 1.0])
+    def test_tol_at_a_direct_res(self, lattice8, method, param):
+        # tol is the RES at which the direct iteration converges, so the Krylov RES lies within rounding
+        # of tol; without the RES margin about half such columns are certified one step late.
+        p, f = lattice8
+        zeros = np.zeros(p.n)
+        res = []
+        solvers.iterate_block(p, f, method, [param], 1e-8, 100, zeros, zeros, lambda X, Y, r: res.append(r[0]))
+        cfg = SolveConfig(parameter=1.0, tol=res[-1])
+        result = grid_search(p, method, grid=np.array([param]), cfg=cfg, f=f)
+        assert result.iterations.tolist() == _direct_counts(p, f, method, [param], tol=res[-1]).tolist() == [len(res)]
+
+    def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
+        # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back, for at most
+        # 11 steps each. The direct iteration alone takes about 21 000 factor-solve columns.
+        p, f = lattice8
+        columns = []
+        solve = linalg.FactorHandle.solve
+
+        def counting_solve(self, r):
+            columns.append(len(r) if np.ndim(r) == 2 else 1)
+            return solve(self, r)
+
+        monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
+        assert grid_argmin(p, "fpi", f=f) == (0.961, 11)
+        assert sum(columns) < 3_000
 
 
 class TestDomainCurves:
