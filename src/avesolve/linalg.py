@@ -290,6 +290,30 @@ def check_tol(tol: float) -> None:
         raise DomainError("tol must lie in (0, 1)")
 
 
+def gershgorin_interval(A: SparseSpdMatrix) -> tuple[float, float]:
+    """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|: every eigenvalue of A lies in [lo, hi]."""
+    on_diag = A.rows == A.col_idx
+    off = np.bincount(A.rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
+    return float(np.min(A.values[on_diag] - off)), float(np.max(A.values[on_diag] + off))
+
+
+def inv_norm_bound(A: SparseSpdMatrix) -> float | None:
+    """An upper bound on nu = ||A^{-1}||_2 where a cheap one exists, else None.
+
+    A Gershgorin lower bound lo >= 1 on lambda_min(A) gives nu <= 1/lo, with no factorization. Below
+    that, when every diagonal entry exceeds 1, one factorization tests whether A - I is SPD, that is
+    nu < 1 (to rounding); failing that, a positive lo still gives 1/lo.
+    """
+    lo = gershgorin_interval(A)[0]
+    if lo < 1 < A.csr.diagonal().min():
+        try:
+            factorize(_shifted(A, 1.0))
+            return 1.0
+        except NotPositiveDefinite:
+            pass
+    return 1.0 / lo if lo > 0 else None
+
+
 def _norm(v: np.ndarray) -> float:
     """||v||_2 of v scaled by a power of two, so that no square overflows or underflows.
 
@@ -336,9 +360,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
     check_tol(tol)
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
-    on_diag = A.rows == A.col_idx
-    off = np.bincount(A.rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
-    shift = float(np.min(A.values[on_diag] - off))
+    shift, hi = gershgorin_interval(A)
     if shift > 0:
         f = None
     elif f is None:
@@ -382,6 +404,6 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         y = np.linalg.eigh([[u @ Au for Au in images] for u in basis])[1][:, 0]
         p, v = v, sum(c * u for c, u in zip(y, basis))
         v /= _norm(v)
-    floor = np.finfo(np.float64).eps * np.max(A.values[on_diag] + off) / abs(lam)  # Gershgorin ||A|| bound
+    floor = np.finfo(np.float64).eps * hi / abs(lam)  # hi: the Gershgorin bound on ||A||
     raise ConvergenceFailure(f"nu estimate stalled: best relative residual {best:.3g} did not halve in {_STALL_SWEEPS}"
                              f" sweeps (tol {tol:g}; rounding floor up to eps*||A||/lambda = {floor:.3g})")

@@ -26,6 +26,8 @@ from .problems import AveProblem
 # stays below this many bytes (one column when a single one is larger). A step
 # keeps about ten such blocks alive, so this bounds the memory a sweep adds; on
 # lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast.
+# The sweep's Krylov path chunks its grid rows by the same bound and holds its
+# basis to a fixed number of such blocks (sweep._BASIS_BLOCKS).
 BLOCK_BYTES = 128 * 2**10
 
 # The analytical optimum of both iterations, omega = tau = 1: an argmin

@@ -13,7 +13,7 @@ multi-RHS factor-solve per step. Two searches share this:
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
   count, the same one grid_search finds: the Krylov path stops at k*, the
-  first step at which a certified column converges, and the direct columns
+  least step at which a certified column converges, and the direct columns
   run at most k* steps, the chunk next to the analytical optimum 1 first.
 
 A grid with no converged point is a result, not an error: its best point is None.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import solvers
 from .errors import DomainError
-from .linalg import FactorHandle, factorize, matvec
+from .linalg import FactorHandle, factorize, gershgorin_interval, inv_norm_bound, matvec
 from .params import range_fpi_new, range_fpi_old, range_sor_new
 from .problems import AveProblem
 from .solvers import SolveConfig, iterate_block
@@ -47,9 +47,11 @@ class SweepResult:
     sentinel: int
 
 
-# The Krylov basis holds at most this many vectors (default k_max 100 fits); a column still
-# undecided when it is full falls back to the direct iteration.
-_MAX_BASIS = 128
+# The Krylov basis V and the orthonormal Q of the residual map hold 2 n doubles per step; they are kept
+# within this many blocks of solvers.BLOCK_BYTES (8 MiB at its default), so a large n gets a short
+# basis: 100 vectors up to n = 4096, 32 on lattice 128, 8 on lattice 256. A column still undecided
+# when the basis is full falls back to the direct iteration.
+_BASIS_BLOCKS = 64
 
 _EPS = np.finfo(np.float64).eps
 # A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
@@ -83,33 +85,42 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     that stops growing spans an invariant space, in which H is exact and the iteration goes on.
 
     The direct iterate and its RES differ from these by rounding, at most about
-    margin_k = 2 k eps ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound: each step adds
-    a backward-stable solve (error about eps ||A|| ||x_k|| while nu < 1) and the rounding of a residual.
-    Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the differences in x and in RES near
-    tol stay below 4 % of that. A column's count stands (certified) only if at every step up to the
-    one deciding it:
+    margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound and nu_hat
+    the larger of 1 and an upper bound on nu = ||A^{-1}|| (:func:`avesolve.linalg.inv_norm_bound`):
+    each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||, and the
+    rounding of a residual. Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the
+    differences in x and in RES near tol stay below 4 % of that. Without a bound on nu no column is
+    certified. A column's count stands (certified) only if at every step up to the one deciding it:
 
     - every d_i x_i exceeds margin_k, so the direct iterate has the signs of D;
     - |RES_k - tol| exceeds margin_k / ||b||, so the direct RES is on the same side of tol;
     - its coefficients are finite and below _HEADROOM.
 
     A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
-    ``argmin``, at k*, the first step at which any certified column converges: no other column
-    can then beat it on count. Returns the counts (k_max + 1 where not converged) and the certified
-    mask; every other column is for :func:`avesolve.solvers.iterate_block` to run.
+    ``argmin``, at k*, the least step at which a certified column converges: no other column can
+    then beat it on count. The grid runs in chunks of rows whose coefficients fill one block of
+    solvers.BLOCK_BYTES, with ``argmin`` the chunk nearest PAPER_OPTIMUM first, so that later
+    chunks stop at the k* found so far; the sign check forms the iterates x_k = V c_k one block
+    at a time. A column still undecided when the basis is full (_BASIS_BLOCKS) is not certified.
+    Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
+    is for :func:`avesolve.solvers.iterate_block` to run.
     """
     n, b, A = problem.n, problem.b, problem.A
     p = len(grid)
     its = np.full(p, k_max + 1)
     certified = np.zeros(p, dtype=bool)
+    nu_bound = inv_norm_bound(A)
+    if nu_bound is None:
+        return its, certified
     u = f.solve(b)
     beta = float(np.linalg.norm(u))
     if not beta > 0:
         return its, certified  # b = 0: the direct iteration reports it
     d = np.sign(u)
-    norm_A = float(np.bincount(A.rows, weights=np.abs(A.values), minlength=n).max())
+    norm_A = gershgorin_interval(A)[1]
     norm_b = float(np.linalg.norm(b))
-    cap = min(k_max, n, _MAX_BASIS)
+    scale = 2 * _EPS * max(1.0, nu_bound)
+    cap = min(k_max, n, max(1, _BASIS_BLOCKS * solvers.BLOCK_BYTES // (16 * n)))
     V, H = np.zeros((cap, n)), np.zeros((cap, cap))
     Q, R = np.zeros((cap + 1, n)), np.zeros((cap + 1, cap + 1))
     V[0] = u / beta
@@ -123,53 +134,56 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     add_residual_column(1)
     m, invariant = 1, False
-    cols = np.arange(p)
-    w = grid[:, None]
-    C = G = np.zeros((p, 1))
-    ref_C = np.zeros((p, 1))
-    ref_slack = np.full(p, -np.inf)  # min_i d_i x_i at ref_C, the last iterate whose signs were computed
-    chunk = max(1, solvers.BLOCK_BYTES // (8 * n))
+    rows = max(1, solvers.BLOCK_BYTES // (8 * (cap + 1)))  # coefficient rows per chunk
+    sign_rows = max(1, solvers.BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
+    starts = list(range(0, p, rows))
+    if argmin:
+        home = int(np.argmin(np.abs(grid - solvers.PAPER_OPTIMUM))) // rows * rows
+        starts.sort(key=lambda start: abs(start - home))
+    last = k_max  # with argmin, the least certified count found so far
     sor = method == "sor"
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            if k > 1 and not invariant:
-                if m == cap < n:
-                    break  # the basis is full: the undecided columns fall back
-                z = f.solve(d * V[m - 1])
-                h, z_perp, norm = _orthogonalize(V[:m], z)
-                H[:m, m - 1] = h
-                if m == n or norm <= m * _EPS * np.linalg.norm(z):
-                    invariant = True
-                else:
-                    H[m, m - 1], V[m] = norm, z_perp / norm
-                    m += 1
-                    add_residual_column(m)
-            S = G @ H[:m, :G.shape[1]].T
-            S[:, 0] += beta
-            if C.shape[1] < m:  # the basis grew: widen the coefficient rows with zeros
-                C, G, ref_C = (np.hstack([X, np.zeros((len(X), m - X.shape[1]))]) for X in (C, G, ref_C))
-            C = (1.0 - w) * C + w * S if sor else S
-            G = (1.0 - w) * G + w * C
-            norm_x = np.linalg.norm(C, axis=1)
-            margin = 2 * k * _EPS * ((norm_A + 1.0) * norm_x + norm_b)
-            res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
-            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
-            ok &= np.abs(res - tol) * norm_b > margin
-            # ||V (c - c_ref)||_inf <= ||c - c_ref||_2 bounds how far the signs can have moved since ref_C.
-            slack = ref_slack - np.linalg.norm(C - ref_C, axis=1)
-            unsure = np.flatnonzero(ok & (slack <= margin))
-            for rows in (unsure[i:i + chunk] for i in range(0, len(unsure), chunk)):
-                slack[rows] = ref_slack[rows] = np.min((C[rows] @ V[:m]) * d, axis=1)
-                ref_C[rows] = C[rows]
-            ok &= slack > margin
-            good = ok & (res <= tol)
-            its[cols[good]] = k
-            done = ok if (k == k_max or argmin and good.any()) else good
-            certified[cols[done]] = True
-            keep = ok & ~done
-            if not keep.any():
-                break
-            cols, w, C, G, ref_C, ref_slack = cols[keep], w[keep], C[keep], G[keep], ref_C[keep], ref_slack[keep]
+        for start in starts:
+            cols = np.arange(start, min(start + rows, p))
+            w = grid[cols, None]
+            C = G = np.zeros((len(cols), 1))
+            for k in range(1, last + 1):
+                if m < k and not invariant:
+                    if m == cap < n:
+                        break  # the basis is full: the undecided columns fall back
+                    z = f.solve(d * V[m - 1])
+                    h, z_perp, norm = _orthogonalize(V[:m], z)
+                    H[:m, m - 1] = h
+                    if m == n or norm <= m * _EPS * np.linalg.norm(z):
+                        invariant = True
+                    else:
+                        H[m, m - 1], V[m] = norm, z_perp / norm
+                        m += 1
+                        add_residual_column(m)
+                width = min(k, m)
+                S = G @ H[:width, :G.shape[1]].T
+                S[:, 0] += beta
+                if C.shape[1] < width:  # one more basis vector: widen the coefficient rows with zeros
+                    C, G = (np.hstack([X, np.zeros((len(X), width - X.shape[1]))]) for X in (C, G))
+                C = (1.0 - w) * C + w * S if sor else S
+                G = (1.0 - w) * G + w * C
+                norm_x = np.linalg.norm(C, axis=1)
+                margin = k * scale * ((norm_A + 1.0) * norm_x + norm_b)
+                res = np.linalg.norm(C @ R[:width + 1, 1:width + 1].T - R[:width + 1, 0], axis=1) / norm_b
+                ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
+                ok &= np.abs(res - tol) * norm_b > margin
+                ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:width]) * d, axis=1)
+                                      for i in range(0, len(C), sign_rows)]) > margin
+                good = ok & (res <= tol)
+                its[cols[good]] = k
+                if argmin and good.any():
+                    last = k
+                done = ok if k == last else good
+                certified[cols[done]] = True
+                keep = ok & ~done
+                if not keep.any():
+                    break
+                cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
     return its, certified
 
 

@@ -426,3 +426,22 @@ def test_estimate_inv_norm_matches_eigvalsh(dense):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_BAND_STORAGE_LIMIT", limit)
             assert abs(estimate_inv_norm(A) - expected) <= 1e-6 * expected
+
+
+class TestInvNormBound:
+    def test_cases(self, tref200b, factorize_calls):
+        # Lattice 8: Gershgorin lo = 4, no factorization. Trefethen_200b: lo = -5, and A - I factorizes.
+        assert linalg.inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
+        assert linalg.inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
+        # Lattice 8 scaled by 0.1: lambda_min 0.42 < 1, so A - I is not SPD; lo = 0.4 still bounds it.
+        assert linalg.inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
+        # lo = 0 and lambda_min < 1: no cheap bound.
+        assert linalg.inv_norm_bound(tridiag(-1, 2, 10)) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_spd_kinds, st.sampled_from([1.0, 20.0]))
+    def test_bounds_nu(self, dense, scale):
+        A = SparseSpdMatrix.from_dense(scale * dense)
+        bound = linalg.inv_norm_bound(A)
+        assert bound is None or bound >= (1 - 1e-9) * dense_inv_norm(A)
+

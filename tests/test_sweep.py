@@ -202,23 +202,42 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
 
 
 class TestKrylovPath:
-    @pytest.fixture(scope="class", params=["lattice8", "tref200b"])
+    # Certified: 1717 (FPI) and 1414 (SOR) on lattice 8, 1447 and 1233 on Trefethen_200b, 301 and 640 on
+    # lattice 8 x 0.1 (nu = 2.36 > 1, bounded by 1/lo = 2.5, which widens the margins), where 468 and
+    # 600 grid points converge.
+    @pytest.fixture(scope="class", params=[("lattice8", 1000), ("tref200b", 1000), ("lattice8x0.1", 200)],
+                    ids=lambda case: case[0])
     def problem(self, request):
-        if request.param == "lattice8":
-            return gen_lattice(8)
-        A = request.getfixturevalue("tref200b")
-        return build_rhs(A, alternating_xstar(A.n))
+        name, least_certified = request.param
+        if name == "lattice8":
+            return gen_lattice(8), least_certified
+        if name == "tref200b":
+            A = request.getfixturevalue("tref200b")
+        else:
+            A = linalg.SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)
+        return build_rhs(A, alternating_xstar(A.n)), least_certified
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
     def test_all_counts_match_direct_iteration(self, problem, method):
+        problem, least_certified = problem
         f = factorize(problem.A)
         grid = default_grid()
         direct = _direct_counts(problem, f, method, grid)
         its, certified = sweep._krylov_counts(problem, f, method, grid, 1e-8, 100, argmin=False)
-        # Certified: 1717 (FPI) and 1414 (SOR) on lattice 8, 1447 and 1233 on Trefethen_200b.
-        assert certified.sum() > 1000
+        assert certified.sum() > least_certified and (direct[certified] <= 100).any()
         assert its[certified].tolist() == direct[certified].tolist()
         assert grid_search(problem, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    def test_full_basis_falls_back(self, lattice8, monkeypatch, method):
+        # A 128-byte block holds the basis to 8 vectors, fewer than the 11 steps of the fastest column.
+        p, f = lattice8
+        grid = np.round(np.arange(1, 40) * 0.05, 2)
+        direct = _direct_counts(p, f, method, grid)
+        monkeypatch.setattr(solvers, "BLOCK_BYTES", 128)
+        assert not sweep._krylov_counts(p, f, method, grid, 1e-8, 100, argmin=False)[1].any()
+        assert grid_search(p, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
+        assert grid_argmin(p, method, grid=grid, f=f) == (float(grid[np.argmin(direct)]), int(direct.min()))
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
     @pytest.mark.parametrize("param", [0.94, 0.97, 1.0])
