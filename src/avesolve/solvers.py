@@ -6,7 +6,8 @@ one multi-RHS factor-solve and one block residual per step for all the
 columns still running. A single solve is the one-column case, and every
 solve takes this path. A sweep first decides what it can on one Krylov
 basis (:mod:`avesolve.sweep`); iterate_block is its fallback for the grid
-points that basis cannot certify. The relative residual RES is evaluated
+points that basis cannot certify, called on the chunks of columns that the
+sweep module sizes and orders. The relative residual RES is evaluated
 after each full (x, y) update; the iteration count is the number of full
 updates performed.
 """
@@ -21,19 +22,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .linalg import FactorHandle, check_tol, matvec
 from .problems import AveProblem
-
-# Columns are run in chunks small enough that one n x chunk block of iterates
-# stays below this many bytes (one column when a single one is larger). A step
-# keeps about ten such blocks alive, so this bounds the memory a sweep adds; on
-# lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast.
-# The sweep's Krylov path chunks its grid rows by the same bound and holds its
-# basis to a fixed number of such blocks (sweep._BASIS_BLOCKS).
-BLOCK_BYTES = 128 * 2**10
-
-# The analytical optimum of both iterations, omega = tau = 1: an argmin
-# search visits the chunk of columns nearest it first.
-PAPER_OPTIMUM = 1.0
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -112,32 +100,17 @@ def iterate_block(
     x0: np.ndarray,
     y0: np.ndarray,
     observe=None,
-    argmin: bool = False,
 ) -> BlockStops:
-    """Run the SOR-like ("sor") or fixed-point ("fpi") iteration once per parameter.
+    """Run the SOR-like ("sor") or fixed-point ("fpi") iteration once per parameter, as one block.
 
     Every column starts from (x0, y0). A column stops at the first update
     that makes x or y non-finite (diverged), brings RES to at most tol
     (converged) or is the k_max-th; stopped columns are dropped from the
-    block, so they cost no further work. Parameters and tol are validated by
-    the callers (SolveConfig, the sweep module). ``observe(X, Y, res)``, when
-    given, sees the rows still running after every update, before any stop.
-
-    Columns run in chunks of consecutive parameters (see BLOCK_BYTES). With
-    ``argmin`` set, only the converged column with the fewest updates, the
-    lowest index among equals, is sought, and every column found converged
-    is one that grid_search finds converged at the same update:
-
-    - the chunk holding the parameter nearest PAPER_OPTIMUM runs first,
-      then the others in order of distance from it;
-    - a chunk stops whole at the first update at which any of its columns
-      converges, the least count any of them can reach;
-    - once a least count k is known, a later chunk runs at most k updates
-      if it lies before k's chunk (it can still tie and win on index), and
-      at most k - 1 if it lies after.
-
-    Columns stopped early are reported as not converged, with the updates
-    they ran; a chunk capped at 0 updates reports 0.
+    block, so they cost no further work. The caller bounds the block's size
+    (the sweep module runs a grid in chunks). Parameters and tol are
+    validated by the callers (SolveConfig, the sweep module).
+    ``observe(X, Y, res)``, when given, sees the rows still running after
+    every update, before any stop.
     """
     if f.n != problem.n:
         raise DimensionMismatch("factorization dimension differs from problem dimension")
@@ -148,47 +121,33 @@ def iterate_block(
     converged = np.zeros(p, dtype=bool)
     diverged = np.zeros(p, dtype=bool)
     res_out = np.full(p, np.nan)
-    chunk = max(1, BLOCK_BYTES // (8 * problem.n))
-    starts = list(range(0, p, chunk))
-    if argmin:
-        home = int(np.argmin(np.abs(params - PAPER_OPTIMUM))) // chunk * chunk
-        starts.sort(key=lambda start: abs(start - home))
-    best_k = best_start = None  # the least count found so far, and its chunk
+    cols = np.arange(p)
+    w = params[:, None]
+    X = np.tile(x0, (p, 1))
+    Y = np.tile(y0, (p, 1))
     # Diverging columns overflow on purpose; they are caught by the finiteness test.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in starts:
-            cols = np.arange(start, min(start + chunk, p))
-            last = k_max
-            if best_k is not None:
-                last = min(k_max, best_k if start < best_start else best_k - 1)
-            w = params[cols, None]
-            X = np.tile(x0, (len(cols), 1))
-            Y = np.tile(y0, (len(cols), 1))
-            for k in range(1, last + 1):
-                Z = f.solve(Y + problem.b)
-                X = (1.0 - w) * X + w * Z if sor else Z
-                Y = (1.0 - w) * Y + w * np.abs(X)
-                res = _residuals(problem, X)
-                if observe is not None:
-                    observe(X, Y, res)
-                bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
-                good = ~bad & (res <= tol)
-                stop = bad | good | (k == last)
-                if argmin and good.any():
-                    # Within its cap, any convergence beats the best so far.
-                    stop[:] = True
-                    best_k, best_start = k, start
-                if not stop.any():
-                    continue
-                done = cols[stop]
-                stopped_at[done] = k
-                converged[done] = good[stop]
-                diverged[done] = bad[stop]
-                res_out[done] = res[stop]
-                keep = ~stop
-                if not keep.any():
-                    break
-                cols, w, X, Y = cols[keep], w[keep], X[keep], Y[keep]
+        for k in range(1, k_max + 1):
+            Z = f.solve(Y + problem.b)
+            X = (1.0 - w) * X + w * Z if sor else Z
+            Y = (1.0 - w) * Y + w * np.abs(X)
+            res = _residuals(problem, X)
+            if observe is not None:
+                observe(X, Y, res)
+            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
+            good = ~bad & (res <= tol)
+            stop = bad | good | (k == k_max)
+            if not stop.any():
+                continue
+            done = cols[stop]
+            stopped_at[done] = k
+            converged[done] = good[stop]
+            diverged[done] = bad[stop]
+            res_out[done] = res[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            cols, w, X, Y = cols[keep], w[keep], X[keep], Y[keep]
     return BlockStops(stopped_at, converged, diverged, res_out)
 
 

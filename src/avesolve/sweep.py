@@ -7,14 +7,19 @@ with one solve per step. A grid point's count is taken from it only where a
 stated rounding margin certifies that the direct iteration stops at the same
 step. Every other grid point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
-multi-RHS factor-solve per step. Two searches share this:
+multi-RHS factor-solve per step. Both paths take the grid in chunks of
+consecutive points (:func:`_chunks`), sized by BLOCK_BYTES. Two searches
+share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
-  count, the same one grid_search finds: the Krylov path stops at k*, the
-  least step at which a certified column converges, and the direct columns
-  run at most k* steps, the chunk next to the analytical optimum 1 first.
+  count, the same one grid_search finds. Both paths visit the chunk next
+  to the analytical optimum 1 first, then the others by distance from it.
+  The Krylov path stops at k*, the least step at which a certified column
+  converges. A direct chunk then runs at most k* steps if it starts before
+  the grid point attaining k* (it can still tie and win on index), at most
+  k* - 1 if it starts after it, and not at all when that is 0.
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solvers
 from .errors import DomainError
 from .linalg import FactorHandle, factorize, gershgorin_interval, inv_norm_bound, matvec
 from .params import range_fpi_new, range_fpi_old, range_sor_new
@@ -47,8 +51,18 @@ class SweepResult:
     sentinel: int
 
 
+# Columns are run in chunks small enough that one n x chunk block of iterates stays below this many bytes
+# (one column when a single one is larger). A step keeps about ten such blocks alive, so this bounds the
+# memory a sweep adds; on lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast. The
+# Krylov path chunks its coefficient rows by the same bound and holds its basis to _BASIS_BLOCKS of them.
+BLOCK_BYTES = 128 * 2**10
+
+# The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the chunk of grid
+# points nearest it first.
+PAPER_OPTIMUM = 1.0
+
 # The Krylov basis V and the orthonormal Q of the residual map hold 2 n doubles per step; they are kept
-# within this many blocks of solvers.BLOCK_BYTES (8 MiB at its default), so a large n gets a short
+# within this many blocks of BLOCK_BYTES (8 MiB at its default), so a large n gets a short
 # basis: 100 vectors up to n = 4096, 32 on lattice 128, 8 on lattice 256. A column still undecided
 # when the basis is full falls back to the direct iteration.
 _BASIS_BLOCKS = 64
@@ -57,6 +71,16 @@ _EPS = np.finfo(np.float64).eps
 # A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
 # no product the direct iteration forms can overflow where the Krylov one does not, or the reverse.
 _HEADROOM = _EPS * np.finfo(np.float64).max
+
+
+def _chunks(grid: np.ndarray, rows: int, argmin: bool) -> list[np.ndarray]:
+    """Index runs of up to ``rows`` consecutive grid points, in grid order or, with ``argmin``, the run
+    holding the point nearest PAPER_OPTIMUM first, then the others by distance from it."""
+    starts = range(0, len(grid), rows)
+    if argmin and len(grid):
+        home = int(np.argmin(np.abs(grid - PAPER_OPTIMUM))) // rows * rows
+        starts = sorted(starts, key=lambda start: abs(start - home))
+    return [np.arange(start, min(start + rows, len(grid))) for start in starts]
 
 
 def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -98,10 +122,9 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
-    then beat it on count. The grid runs in chunks of rows whose coefficients fill one block of
-    solvers.BLOCK_BYTES, with ``argmin`` the chunk nearest PAPER_OPTIMUM first, so that later
-    chunks stop at the k* found so far; the sign check forms the iterates x_k = V c_k one block
-    at a time. A column still undecided when the basis is full (_BASIS_BLOCKS) is not certified.
+    then beat it on count. The grid runs in chunks (:func:`_chunks`) of rows whose coefficients
+    fill one block of BLOCK_BYTES, so that with ``argmin`` later chunks stop at the k* found so far;
+    the sign check forms the iterates x_k = V c_k one block at a time. A column still undecided when the basis is full (_BASIS_BLOCKS) is not certified.
     Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
     is for :func:`avesolve.solvers.iterate_block` to run.
     """
@@ -120,7 +143,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     norm_A = gershgorin_interval(A)[1]
     norm_b = float(np.linalg.norm(b))
     scale = 2 * _EPS * max(1.0, nu_bound)
-    cap = min(k_max, n, max(1, _BASIS_BLOCKS * solvers.BLOCK_BYTES // (16 * n)))
+    cap = min(k_max, n, max(1, _BASIS_BLOCKS * BLOCK_BYTES // (16 * n)))
     V, H = np.zeros((cap, n)), np.zeros((cap, cap))
     Q, R = np.zeros((cap + 1, n)), np.zeros((cap + 1, cap + 1))
     V[0] = u / beta
@@ -134,17 +157,12 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     add_residual_column(1)
     m, invariant = 1, False
-    rows = max(1, solvers.BLOCK_BYTES // (8 * (cap + 1)))  # coefficient rows per chunk
-    sign_rows = max(1, solvers.BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
-    starts = list(range(0, p, rows))
-    if argmin:
-        home = int(np.argmin(np.abs(grid - solvers.PAPER_OPTIMUM))) // rows * rows
-        starts.sort(key=lambda start: abs(start - home))
+    rows = max(1, BLOCK_BYTES // (8 * (cap + 1)))  # coefficient rows per chunk
+    sign_rows = max(1, BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
     last = k_max  # with argmin, the least certified count found so far
     sor = method == "sor"
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in starts:
-            cols = np.arange(start, min(start + rows, p))
+        for cols in _chunks(grid, rows, argmin):
             w = grid[cols, None]
             C = G = np.zeros((len(cols), 1))
             for k in range(1, last + 1):
@@ -198,8 +216,9 @@ def _sweep(
     """The validated grid, its iteration counts (sentinel where not converged), the sentinel and
     (best_param, min_it) of the first grid point attaining the least count, None if none converged.
 
-    The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, up to
-    k_max or, with ``argmin``, up to the least certified count (a tie still goes to the lowest index).
+    The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, one call
+    per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the k* or k* - 1 cap
+    that the module docstring states.
     """
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
@@ -214,11 +233,16 @@ def _sweep(
     sentinel = base.k_max + 1
     its, certified = _krylov_counts(problem, f, method, grid, base.tol, base.k_max, argmin)
     rest = np.flatnonzero(~certified)
-    if len(rest):
-        cap = min(base.k_max, int(its.min())) if argmin else base.k_max
-        zeros = np.zeros(problem.n)
-        stops = iterate_block(problem, f, method, grid[rest], base.tol, cap, zeros, zeros, argmin=argmin)
-        its[rest] = np.where(stops.converged, stops.iterations, sentinel)
+    zeros = np.zeros(problem.n)
+    for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n)), argmin):
+        cols = rest[chunk]
+        last = base.k_max
+        if argmin:
+            best = int(np.argmin(its))  # k* = its[best], the least count so far
+            last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)
+        if last > 0:
+            stops = iterate_block(problem, f, method, grid[cols], base.tol, last, zeros, zeros)
+            its[cols] = np.where(stops.converged, stops.iterations, sentinel)
     best = int(np.argmin(its))
     return grid, its, sentinel, (float(grid[best]), int(its[best])) if its[best] < sentinel else None
 

@@ -116,7 +116,7 @@ class TestGridSearch:
             expected.append(report.iterations if report.converged else 101)
         assert diverged == [1e4] and 101 in expected[:-1]
         if chunk_columns is not None:
-            monkeypatch.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * p.n)
+            monkeypatch.setattr(sweep, "BLOCK_BYTES", chunk_columns * 8 * p.n)
         result = grid_search(p, method, grid=grid, f=f)
         assert result.iterations.tolist() == expected
 
@@ -127,11 +127,15 @@ class TestGridArgmin:
         p, f = lattice8
         assert grid_argmin(p, method, f=f) == expected
 
-    @pytest.mark.parametrize("method", ["fpi", "sor"])
-    def test_lattice8_stops_early(self, lattice8, monkeypatch, method):
-        # Running every grid point to its end takes 106k (FPI) and 132k (SOR)
-        # column-steps; stopping each chunk at its first converged step, about 21k.
+    @pytest.mark.parametrize("method, basis_blocks", [("fpi", None), ("sor", None), ("fpi", 0), ("sor", 0)],
+                             ids=["fpi", "sor", "fpi-direct", "sor-direct"])
+    def test_lattice8_stops_early(self, lattice8, monkeypatch, method, basis_blocks):
+        # Running every grid point to its end takes 106k (FPI) and 132k (SOR) column-steps. The Krylov
+        # path takes about 1.4k and 5.7k; without it (a one-vector basis), the capped direct chunks
+        # take about 22k.
         p, f = lattice8
+        if basis_blocks is not None:
+            monkeypatch.setattr(sweep, "_BASIS_BLOCKS", basis_blocks)
         columns = []
         solve = linalg.FactorHandle.solve
 
@@ -166,7 +170,7 @@ def test_grid_argmin_matches_grid_search(problem, method, grid, tol, k_max, chun
     f = factorize(problem.A)
     cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
+        mp.setattr(sweep, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
         full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
         best = None if full.min_it is None else (full.best_param, full.min_it)
         assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
@@ -196,7 +200,7 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
     expected = np.concatenate([_direct_counts(problem, f, method, [w], tol, k_max) for w in grid])
     best = None if expected.min() > k_max else (float(grid[np.argmin(expected)]), int(expected.min()))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
+        mp.setattr(sweep, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
         assert grid_search(problem, method, grid=grid, cfg=cfg, f=f).iterations.tolist() == expected.tolist()
         assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
 
@@ -234,7 +238,7 @@ class TestKrylovPath:
         p, f = lattice8
         grid = np.round(np.arange(1, 40) * 0.05, 2)
         direct = _direct_counts(p, f, method, grid)
-        monkeypatch.setattr(solvers, "BLOCK_BYTES", 128)
+        monkeypatch.setattr(sweep, "BLOCK_BYTES", 128)
         assert not sweep._krylov_counts(p, f, method, grid, 1e-8, 100, argmin=False)[1].any()
         assert grid_search(p, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
         assert grid_argmin(p, method, grid=grid, f=f) == (float(grid[np.argmin(direct)]), int(direct.min()))
