@@ -16,7 +16,8 @@ not positive, so a matrix singular to working precision is rejected too.
 The band wins while the band is narrow or mostly nonzero (lattices up to
 m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
 wide band would be fill (lattice 256, whose 135 MB band it factors about
-1.7x and solves about 4x faster; see CHANGES.md for the crossover table).
+1.9x and solves about 3x faster with 4-column panels; see BENCH_13.json
+for the crossover table).
 
 :func:`estimate_inv_norm` finds nu = ||A^{-1}||_2 by a locally optimal
 Rayleigh-Ritz step (block-size-1 LOBPCG with the shifted factor as an exact
@@ -39,11 +40,17 @@ from scipy.sparse.linalg import splu
 from .errors import ConvergenceFailure, DimensionMismatch, DomainError, NotPositiveDefinite, SymmetryError
 
 # Band storage (bandwidth + 1) * n above this many doubles (a 64 MiB band) is
-# factorized by SuperLU instead. On the measured crossover the two branches tie
-# from lattice 128 (2.1M) to lattice 181 (6.0M); SuperLU is ahead at lattice
-# 256 (16.8M) and about 10x behind on Trefethen_4000b (8.2M), which this keeps
-# on the band.
+# factorized by SuperLU instead. With 4-column panels the two branches factor
+# lattice 128 (2.1M) in the same time; SuperLU is 1.1-1.4x ahead at lattice 181
+# (6.0M), 1.9x at lattice 256 (16.8M), and about 12x behind on Trefethen_4000b
+# (8.2M), which this keeps on the band.
 _BAND_STORAGE_LIMIT = 2**23
+
+# Columns per SuperLU panel, in place of its default of 20. A panel of w columns keeps n x w dense
+# work arrays; narrow ones stay in cache on the lattices (lattice 256 factors in ~22 % less time at 4)
+# and tie on Trefethen_4098b. Keep it at most 20: SuperLU sizes its panel statistics by the default
+# widths, and a wider panel overruns them (a lattice 256 factorization at 32 died with SIGSEGV).
+_PANEL_SIZE = 4
 
 # Sweeps in a row that do not halve the best relative residual end the nu estimate. Every certified
 # estimate with lambda_max/lambda_min < 3e8 in tests, benchmark and a 300-matrix stress set needed <= 5.
@@ -189,7 +196,8 @@ def _pivot_floor(diag: np.ndarray) -> np.ndarray:
 def _symmetric_splu(M: sp.spmatrix, permc_spec: str):
     # With a zero threshold and SymmetricMode, SuperLU takes every pivot from
     # the diagonal of the symmetrically permuted matrix unless it is exactly 0.
-    return splu(M.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    return splu(M.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
+                options=dict(SymmetricMode=True))
 
 
 def _first_bad_pivot(lu, floor: np.ndarray) -> int | None:

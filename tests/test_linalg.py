@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -207,6 +208,26 @@ class TestFactorizeSparse(TestFactorize):
     def test_takes_superlu_branch(self):
         f = factorize(gen_lattice(4).A)
         assert f._band is None and f._lu is not None
+
+    @pytest.mark.parametrize("shift, spd", [(4.5, False), (3.9, True)])
+    def test_spd_check_across_many_panels(self, shift, spd):
+        # n = 4096 spans about a thousand panels; every diagonal entry stays positive (8 - shift).
+        # lambda_min is about 4.0046 - shift: -0.5 (rejected) or +0.1 (factorized).
+        A = SparseSpdMatrix.from_scipy(gen_lattice(64).A.csr - shift * sp.identity(4096))
+        if spd:
+            r = np.arange(1.0, A.n + 1)
+            z = factorize(A).solve(r)
+            assert np.linalg.norm(matvec(A, z) - r) <= 1e-12 * np.linalg.norm(r)
+        else:
+            with pytest.raises(NotPositiveDefinite) as exc:
+                factorize(A)
+            assert 0 <= exc.value.pivot_index < A.n
+
+
+def test_panel_size_within_superlu_statistics():
+    # SuperLU sizes its panel statistics by its default widths, at most 20 columns; a wider panel
+    # overruns them and corrupts the heap (a lattice 256 factorization at 32 died with SIGSEGV).
+    assert type(linalg._PANEL_SIZE) is int and 1 <= linalg._PANEL_SIZE <= 20
 
 
 def _symmetric_positive_diagonal(M):

@@ -257,8 +257,9 @@ class TestKrylovPath:
         assert result.iterations.tolist() == _direct_counts(p, f, method, [param], tol=res[-1]).tolist() == [len(res)]
 
     def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
-        # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back, for at most
-        # 11 steps each. The direct iteration alone takes about 21 000 factor-solve columns.
+        # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back. They lie after
+        # the grid point of k* = 11, the least count found, so they stop at k* - 1 = 10 steps each. The
+        # direct iteration alone takes about 21 000 factor-solve columns.
         p, f = lattice8
         columns = []
         solve = linalg.FactorHandle.solve
