@@ -23,7 +23,7 @@ from .errors import AveError, DomainError
 from .linalg import estimate_inv_norm, factorize
 from .params import ParamEnvelope
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
-from .solvers import SolveConfig, solve_fpi, solve_sor_like
+from .solvers import SolveConfig, check_stop_rule, solve_fpi, solve_sor_like
 from .sweep import domain_curves, grid_argmin, grid_search
 
 EXIT_OK = 0
@@ -151,8 +151,7 @@ def _param(spec, problem, f, method, args) -> float | None:
     if spec == "optimal":
         return 1.0
     if spec == "grid":
-        base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
-        best = grid_argmin(problem, method, cfg=base, f=f)
+        best = grid_argmin(problem, method, tol=args.tol, k_max=args.kmax, f=f)
         return None if best is None else best[0]
     return float(spec)
 
@@ -184,16 +183,15 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem = _load_problem(args.lattice, args.matrix)
-    base = SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)
     if args.format == "csv":
         # Only the table needs every grid point run to its end.
-        result = grid_search(problem, args.method, cfg=base)
+        result = grid_search(problem, args.method, tol=args.tol, k_max=args.kmax)
         rows = [{"param": f"{p:.3f}", "it": "-" if it == result.sentinel else str(int(it))}
                 for p, it in zip(result.grid, result.iterations)]
         _emit(args, rows, ["param", "it"])
         best = result.min_it
     else:
-        best = grid_argmin(problem, args.method, cfg=base)
+        best = grid_argmin(problem, args.method, tol=args.tol, k_max=args.kmax)
         _emit(args, dict(zip(["best_param", "min_it"], best or ("-", "-"))), ["best_param", "min_it"])
     return EXIT_OK if best is not None else EXIT_NO_CONVERGENCE
 
@@ -232,7 +230,7 @@ def _resolve_matrix(name: str, matrix_dir: str | None) -> str:
 
 
 def cmd_bench(args) -> int:
-    SolveConfig(parameter=1.0, tol=args.tol, k_max=args.kmax)  # a bad --tol/--kmax fails the command
+    check_stop_rule(args.tol, args.kmax)  # a bad --tol/--kmax fails the command
     matrix_dir = args.matrix_dir or os.environ.get("AVE_MATRIX_DIR")
     jobs = [(f"lattice{m}", m, None) for m in args.lattice] + [(name, None, name) for name in args.matrix]
     rows = []

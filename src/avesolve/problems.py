@@ -103,9 +103,11 @@ def load_matrix_market(path) -> SparseSpdMatrix:
     """Read a coordinate real symmetric file, or a general one (SymmetryError unless symmetric).
 
     The stored triangle is mirrored, duplicates are summed, indices are
-    converted from 1-based to 0-based. After the size line a clean body is
-    read in one vectorized pass (`_bulk_body`); any other body is read line
-    by line, which reports a malformed line by its number.
+    converted from 1-based to 0-based. A size line declaring fewer entries
+    than rows is rejected: an SPD matrix stores every diagonal entry. After
+    the size line a clean body is read in one vectorized pass (`_bulk_body`);
+    any other body is read line by line, which reports a malformed line by
+    its number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -144,6 +146,9 @@ def load_matrix_market(path) -> SparseSpdMatrix:
                 raise ParseError("size line must contain integers", lineno) from None
             if nrows != ncols:
                 raise ParseError(f"matrix is not square ({nrows}x{ncols})", lineno)
+            if nnz < nrows:  # before any storage of size n is allocated
+                raise ParseError(f"{nnz} entries cannot hold the {nrows} diagonal entries of an SPD matrix",
+                                 lineno)
             size_seen = True
             entries = _bulk_body(lines[lineno:], nrows, nnz)
             if entries is not None:

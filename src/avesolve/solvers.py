@@ -4,10 +4,10 @@ Both schemes reuse one factorization of A. :func:`iterate_block` runs one
 iteration per parameter, each as one row of a p x n block of iterates, with
 one multi-RHS factor-solve and one block residual per step for all the
 columns still running. A single solve is the one-column case, and every
-solve takes this path. A sweep first decides what it can on one Krylov
-basis (:mod:`avesolve.sweep`); iterate_block is its fallback for the grid
-points that basis cannot certify, called on the chunks of columns that the
-sweep module sizes and orders. The relative residual RES is evaluated
+solve takes this path from zero start vectors. A sweep first decides what
+it can on one Krylov basis (:mod:`avesolve.sweep`); iterate_block is its
+fallback for the grid points that basis cannot certify, called on the
+chunks of columns that the sweep module sizes and orders. The relative residual RES is evaluated
 after each full (x, y) update; the iteration count is the number of full
 updates performed.
 """
@@ -23,33 +23,26 @@ from .errors import DimensionMismatch, DomainError
 from .linalg import FactorHandle, check_tol, matvec
 from .problems import AveProblem
 
+
+def check_stop_rule(tol: float, k_max: int) -> None:
+    """The one stopping rule of the iterations and sweeps: tol in (0, 1), k_max at least 1."""
+    check_tol(tol)
+    if k_max < 1:
+        raise DomainError("k_max must be at least 1")
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Iteration parameter (omega or tau), tolerances and initial vectors."""
+    """Iteration parameter (omega or tau) and stopping rule of one solve, which starts from zero."""
 
     parameter: float
     tol: float = 1e-8
     k_max: int = 100
-    x0: np.ndarray | None = None
-    y0: np.ndarray | None = None
-    capture_history: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.parameter) and self.parameter > 0):
             raise DomainError("iteration parameter must be positive and finite")
-        check_tol(self.tol)
-        if self.k_max < 1:
-            raise DomainError("k_max must be at least 1")
-        for v in (self.x0, self.y0):
-            if v is not None and not np.isfinite(np.asarray(v, dtype=np.float64)).all():
-                raise DomainError("initial vectors must be finite")
-
-    def initial_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=np.float64)
-        y0 = np.zeros(n) if self.y0 is None else np.asarray(self.y0, dtype=np.float64)
-        if x0.shape != (n,) or y0.shape != (n,):
-            raise DimensionMismatch("initial vectors must have the problem dimension")
-        return x0.copy(), y0.copy()
+        check_stop_rule(self.tol, self.k_max)
 
 
 @dataclass
@@ -61,7 +54,6 @@ class SolveReport:
     x: np.ndarray
     y: np.ndarray
     res_history: list[float] = field(default_factory=list)
-    iterate_history: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -107,8 +99,9 @@ def iterate_block(
     that makes x or y non-finite (diverged), brings RES to at most tol
     (converged) or is the k_max-th; stopped columns are dropped from the
     block, so they cost no further work. The caller bounds the block's size
-    (the sweep module runs a grid in chunks). Parameters and tol are
-    validated by the callers (SolveConfig, the sweep module).
+    (the sweep module runs a grid in chunks). Parameters, tol and k_max are
+    validated by the callers (SolveConfig, the sweep module), which start
+    every column from zero.
     ``observe(X, Y, res)``, when given, sees the rows still running after
     every update, before any stop.
     """
@@ -152,21 +145,18 @@ def iterate_block(
 
 
 def _solve(problem: AveProblem, f: FactorHandle, cfg: SolveConfig, method: str) -> SolveReport:
-    x0, y0 = cfg.initial_vectors(problem.n)
+    zeros = np.zeros(problem.n)
     res_history: list[float] = []
-    iterate_history = [] if cfg.capture_history else None
     last = []
 
     def observe(X, Y, res):
         res_history.append(float(res[0]))
         last[:] = [X[0].copy(), Y[0].copy()]
-        if iterate_history is not None:
-            iterate_history.append(tuple(last))
 
-    stops = iterate_block(problem, f, method, [cfg.parameter], cfg.tol, cfg.k_max, x0, y0, observe)
+    stops = iterate_block(problem, f, method, [cfg.parameter], cfg.tol, cfg.k_max, zeros, zeros, observe)
     x, y = last
     return SolveReport(bool(stops.converged[0]), bool(stops.diverged[0]), int(stops.iterations[0]),
-                       float(stops.res[0]), x, y, res_history, iterate_history)
+                       float(stops.res[0]), x, y, res_history)
 
 
 def solve_sor_like(problem: AveProblem, f: FactorHandle, cfg: SolveConfig) -> SolveReport:

@@ -34,7 +34,7 @@ from .errors import DomainError
 from .linalg import FactorHandle, factorize, gershgorin_interval, inv_norm_bound, matvec
 from .params import range_fpi_new, range_fpi_old, range_sor_new
 from .problems import AveProblem
-from .solvers import SolveConfig, iterate_block
+from .solvers import check_stop_rule, iterate_block
 
 
 def default_grid() -> np.ndarray:
@@ -124,7 +124,8 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
     then beat it on count. The grid runs in chunks (:func:`_chunks`) of rows whose coefficients
     fill one block of BLOCK_BYTES, so that with ``argmin`` later chunks stop at the k* found so far;
-    the sign check forms the iterates x_k = V c_k one block at a time. A column still undecided when the basis is full (_BASIS_BLOCKS) is not certified.
+    the sign check forms the iterates x_k = V c_k one block at a time. A column still undecided when
+    the basis is full (_BASIS_BLOCKS) is not certified.
     Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
     is for :func:`avesolve.solvers.iterate_block` to run.
     """
@@ -209,7 +210,8 @@ def _sweep(
     problem: AveProblem,
     method: str,
     grid: np.ndarray | None,
-    cfg: SolveConfig | None,
+    tol: float,
+    k_max: int,
     f: FactorHandle | None,
     argmin: bool,
 ) -> tuple[np.ndarray, np.ndarray, int, tuple[float, int] | None]:
@@ -222,26 +224,26 @@ def _sweep(
     """
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
+    check_stop_rule(tol, k_max)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    if len(grid) == 0:
-        raise DomainError("grid must be nonempty")
+    if grid.ndim != 1 or len(grid) == 0:
+        raise DomainError("grid must be a nonempty one-dimensional array")
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be finite, positive and strictly ascending")
-    base = cfg if cfg is not None else SolveConfig(parameter=1.0)
     if f is None:
         f = factorize(problem.A)
-    sentinel = base.k_max + 1
-    its, certified = _krylov_counts(problem, f, method, grid, base.tol, base.k_max, argmin)
+    sentinel = k_max + 1
+    its, certified = _krylov_counts(problem, f, method, grid, tol, k_max, argmin)
     rest = np.flatnonzero(~certified)
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n)), argmin):
         cols = rest[chunk]
-        last = base.k_max
+        last = k_max
         if argmin:
             best = int(np.argmin(its))  # k* = its[best], the least count so far
             last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)
         if last > 0:
-            stops = iterate_block(problem, f, method, grid[cols], base.tol, last, zeros, zeros)
+            stops = iterate_block(problem, f, method, grid[cols], tol, last, zeros, zeros)
             its[cols] = np.where(stops.converged, stops.iterations, sentinel)
     best = int(np.argmin(its))
     return grid, its, sentinel, (float(grid[best]), int(its[best])) if its[best] < sentinel else None
@@ -251,7 +253,8 @@ def grid_search(
     problem: AveProblem,
     method: str,
     grid: np.ndarray | None = None,
-    cfg: SolveConfig | None = None,
+    tol: float = 1e-8,
+    k_max: int = 100,
     f: FactorHandle | None = None,
 ) -> SweepResult:
     """Run the chosen solver at every grid point from zero starting vectors.
@@ -259,7 +262,7 @@ def grid_search(
     best_param is the first grid point attaining the minimal iteration count, min_it that count;
     both are None when no grid point converged.
     """
-    grid, its, sentinel, best = _sweep(problem, method, grid, cfg, f, argmin=False)
+    grid, its, sentinel, best = _sweep(problem, method, grid, tol, k_max, f, argmin=False)
     return SweepResult(grid, its, *(best or (None, None)), sentinel)
 
 
@@ -267,14 +270,15 @@ def grid_argmin(
     problem: AveProblem,
     method: str,
     grid: np.ndarray | None = None,
-    cfg: SolveConfig | None = None,
+    tol: float = 1e-8,
+    k_max: int = 100,
     f: FactorHandle | None = None,
 ) -> tuple[float, int] | None:
     """(best_param, min_it) of :func:`grid_search`, without running every point to its end.
 
     None exactly when grid_search finds no converged grid point.
     """
-    return _sweep(problem, method, grid, cfg, f, argmin=True)[3]
+    return _sweep(problem, method, grid, tol, k_max, f, argmin=True)[3]
 
 
 def domain_curves(nu_grid: np.ndarray) -> list[dict]:

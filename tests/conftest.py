@@ -6,7 +6,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from avesolve import SparseSpdMatrix, build_rhs, linalg, matvec, solve_fpi, solve_sor_like
+from avesolve import SparseSpdMatrix, build_rhs, linalg, solvers
 
 
 def first_primes(k):
@@ -49,18 +49,26 @@ def dense_inv_norm(A: SparseSpdMatrix) -> float:
     return 1.0 / np.linalg.eigvalsh(A.to_dense())[0]
 
 
-def run_with_history(solver, problem, f, cfg):
-    report = solver(problem, f, cfg)
-    assert report.iterate_history is not None
-    x0, y0 = cfg.initial_vectors(problem.n)
-    return [(x0, y0)] + report.iterate_history, report
+def run_iterates(problem, f, method, param, k_max=100, x0=None, y0=None, tol=1e-8):
+    """One column of solvers.iterate_block, the kernel of every solve: its stops, the iterates
+    [(x0, y0), (x1, y1), ...] (zero start vectors unless given) and the RES after each update."""
+    zeros = np.zeros(problem.n)
+    x0 = zeros if x0 is None else x0
+    y0 = zeros if y0 is None else y0
+    iterates, res = [(x0, y0)], []
+
+    def observe(X, Y, r):
+        iterates.append((X[0].copy(), Y[0].copy()))
+        res.append(float(r[0]))
+
+    stops = solvers.iterate_block(problem, f, method, [param], tol, k_max, x0, y0, observe)
+    return stops, iterates, res
 
 
-def check_contraction_envelope(problem, f, cfg, method, envelope, slack=1e-10):
+def check_contraction_envelope(problem, f, method, param, envelope, slack=1e-10):
     """Successive iterate-difference norms must be bounded by the 2x2 envelope."""
-    solver = solve_sor_like if method == "sor" else solve_fpi
-    iterates, report = run_with_history(solver, problem, f, cfg)
-    assert report.converged
+    stops, iterates, _ = run_iterates(problem, f, method, param, k_max=1000)
+    assert stops.converged[0]
     diffs = [
         np.array([np.linalg.norm(x1 - x0), np.linalg.norm(y1 - y0)])
         for (x0, y0), (x1, y1) in zip(iterates, iterates[1:])

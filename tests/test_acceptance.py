@@ -23,7 +23,6 @@ from avesolve import (
     g_nu_sor,
     rho_U,
     rho_W,
-    solve_fpi,
     solve_sor_like,
 )
 from conftest import (
@@ -31,7 +30,7 @@ from conftest import (
     dense_inv_norm,
     matrix_path,
     require_matrix,
-    run_with_history,
+    run_iterates,
     trefethen_b,
 )
 
@@ -82,9 +81,8 @@ def test_criterion_3_equivalence_at_optimum(tref20b):
     problems.append(build_rhs(tref20b, alternating_xstar(tref20b.n)))
     for p in problems:
         f = factorize(p.A)
-        cfg = SolveConfig(parameter=1.0, capture_history=True)
-        sor_iters, _ = run_with_history(solve_sor_like, p, f, cfg)
-        fpi_iters, _ = run_with_history(solve_fpi, p, f, cfg)
+        _, sor_iters, _ = run_iterates(p, f, "sor", 1.0)
+        _, fpi_iters, _ = run_iterates(p, f, "fpi", 1.0)
         assert len(sor_iters) == len(fpi_iters)
         for (xs, ys), (xf, yf) in zip(sor_iters, fpi_iters):
             assert np.array_equal(xs, xf) and np.array_equal(ys, yf)
@@ -140,15 +138,13 @@ def test_criterion_6_guaranteed_convergence_and_envelope():
     fpi_hi = range_fpi_new(nu).upper
     for omega in np.linspace(0.05, sor_hi - 0.01, 20):
         omega = float(omega)
-        cfg = SolveConfig(parameter=omega, k_max=1000, capture_history=True)
         a = abs(1.0 - omega)
         W = np.array([[a, omega * nu], [omega * a, omega**2 * nu + a]])
-        check_contraction_envelope(p, f, cfg, "sor", W, slack=1e-10)
+        check_contraction_envelope(p, f, "sor", omega, W, slack=1e-10)
     for tau in np.linspace(0.05, fpi_hi - 0.01, 20):
         tau = float(tau)
-        cfg = SolveConfig(parameter=tau, k_max=1000, capture_history=True)
         U = np.array([[0.0, nu], [0.0, tau * nu + abs(1.0 - tau)]])
-        check_contraction_envelope(p, f, cfg, "fpi", U, slack=1e-10)
+        check_contraction_envelope(p, f, "fpi", tau, U, slack=1e-10)
     report(6, True, "(all 20+20 in-range parameters converged; envelope held)")
 
 

@@ -218,6 +218,17 @@ class TestMatrixMarket:
             load_matrix_market(f)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("n, nnz", [(5, 3), (10**6, 1)])
+    def test_fewer_entries_than_rows_rejected_at_size_line(self, tmp_path, n, nnz):
+        # An SPD matrix stores every diagonal entry; the size line alone rules the file out, before
+        # anything of the declared size is allocated. The nnz entries given are all diagonal.
+        f = tmp_path / "short.mtx"
+        entries = [f"{i} {i} 4" for i in range(1, nnz + 1)]
+        write_lines(f, ["%%MatrixMarket matrix coordinate real symmetric", "% c", f"{n} {n} {nnz}", *entries])
+        with pytest.raises(ParseError, match="diagonal") as exc:
+            load_matrix_market(f)
+        assert exc.value.line_number == 3
+
     def test_bad_entry_line_number(self, tmp_path):
         f = tmp_path / "e.mtx"
         write_lines(
@@ -301,7 +312,8 @@ def matrix_market_texts(draw, malformation=None):
         st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
     )
     index = st.integers(1, n)
-    entries = [list(map(str, e)) for e in draw(st.lists(st.tuples(index, index, value), min_size=1, max_size=12))]
+    # At least n entries: fewer cannot hold the diagonal, and the size line is rejected before either parser.
+    entries = [list(map(str, e)) for e in draw(st.lists(st.tuples(index, index, value), min_size=n, max_size=12))]
     if symmetry == "general":
         entries += [[j, i, v] for i, j, v in entries if i != j]
     nnz = len(entries)

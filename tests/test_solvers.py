@@ -18,7 +18,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
-from conftest import check_contraction_envelope, dense_inv_norm, random_ave_problems, random_spd, run_with_history
+from conftest import check_contraction_envelope, dense_inv_norm, random_ave_problems, random_spd, run_iterates
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +71,6 @@ class TestSolveConfig:
             SolveConfig(parameter=value)
         with pytest.raises(DomainError):
             SolveConfig(parameter=1.0, tol=value)
-        with pytest.raises(DomainError):
-            SolveConfig(parameter=1.0, x0=[0.0, value])
-        with pytest.raises(DomainError):
-            SolveConfig(parameter=1.0, y0=[value, 0.0])
 
 
 class TestSorLike:
@@ -144,10 +140,9 @@ class TestFpi:
 class TestEquivalenceAtOptimum:
     def test_histories_bit_identical(self, lattice8):
         p, f = lattice8
-        cfg = SolveConfig(parameter=1.0, capture_history=True)
-        sor_iters, sor_report = run_with_history(solve_sor_like, p, f, cfg)
-        fpi_iters, fpi_report = run_with_history(solve_fpi, p, f, cfg)
-        assert sor_report.iterations == fpi_report.iterations == 11
+        sor_stops, sor_iters, _ = run_iterates(p, f, "sor", 1.0)
+        fpi_stops, fpi_iters, _ = run_iterates(p, f, "fpi", 1.0)
+        assert sor_stops.iterations[0] == fpi_stops.iterations[0] == 11
         for (xs, ys), (xf, yf) in zip(sor_iters, fpi_iters):
             assert np.array_equal(xs, xf)
             assert np.array_equal(ys, yf)
@@ -156,29 +151,30 @@ class TestEquivalenceAtOptimum:
         p, f = lattice8
         rng = np.random.default_rng(5)
         x0, y0 = rng.standard_normal(p.n), rng.standard_normal(p.n)
-        cfg = SolveConfig(parameter=1.0, x0=x0, y0=y0, capture_history=True)
-        _, sor_report = run_with_history(solve_sor_like, p, f, cfg)
-        _, fpi_report = run_with_history(solve_fpi, p, f, cfg)
-        for (xs, ys), (xf, yf) in zip(sor_report.iterate_history, fpi_report.iterate_history):
+        _, sor_iters, _ = run_iterates(p, f, "sor", 1.0, x0=x0, y0=y0)
+        _, fpi_iters, _ = run_iterates(p, f, "fpi", 1.0, x0=x0, y0=y0)
+        assert len(sor_iters) == len(fpi_iters) > 1
+        for (xs, ys), (xf, yf) in zip(sor_iters, fpi_iters):
             assert np.array_equal(xs, xf)
             assert np.array_equal(ys, yf)
 
 
-def _outcome(solver, problem, f, cfg):
-    report = solver(problem, f, cfg)
-    if report.diverged:
-        return ("diverged", report.iterations)
-    return (report.converged, report.iterations, np.array(report.res_history), report.x, report.y)
+def _outcome(problem, f, method, k_max, x0, y0):
+    stops, iterates, res = run_iterates(problem, f, method, 1.0, k_max, x0, y0)
+    if stops.diverged[0]:
+        return ("diverged", int(stops.iterations[0]))
+    return (bool(stops.converged[0]), int(stops.iterations[0]), np.array(res), *iterates[-1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_ave_problems(), st.integers(1, 30), st.data())
 def test_sor_and_fpi_at_one_identical_on_random_problems(problem, k_max, data):
+    # Random start vectors reach the kernel of every solve directly; the solves themselves start from zero.
     start = hnp.arrays(np.float64, problem.n, elements=st.floats(allow_nan=False, allow_infinity=False))
-    cfg = SolveConfig(parameter=1.0, k_max=k_max, x0=data.draw(start), y0=data.draw(start))
+    x0, y0 = data.draw(start), data.draw(start)
     f = factorize(problem.A)
-    sor = _outcome(solve_sor_like, problem, f, cfg)
-    fpi = _outcome(solve_fpi, problem, f, cfg)
+    sor = _outcome(problem, f, "sor", k_max, x0, y0)
+    fpi = _outcome(problem, f, "fpi", k_max, x0, y0)
     assert sor[:2] == fpi[:2]
     if sor[0] != "diverged":
         # RES may overflow to inf or nan from a huge start; compare its bits.
@@ -229,12 +225,10 @@ class TestContractionEnvelope:
     def test_sor_bounded_by_W(self, lattice8, omega):
         p, f = lattice8
         nu = estimate_inv_norm(p.A)
-        cfg = SolveConfig(parameter=omega, k_max=1000, capture_history=True)
-        check_contraction_envelope(p, f, cfg, "sor", envelope_W(omega, nu))
+        check_contraction_envelope(p, f, "sor", omega, envelope_W(omega, nu))
 
     @pytest.mark.parametrize("tau", [0.7, 1.0, 1.3])
     def test_fpi_bounded_by_U(self, lattice8, tau):
         p, f = lattice8
         nu = estimate_inv_norm(p.A)
-        cfg = SolveConfig(parameter=tau, k_max=1000, capture_history=True)
-        check_contraction_envelope(p, f, cfg, "fpi", envelope_U(tau, nu))
+        check_contraction_envelope(p, f, "fpi", tau, envelope_U(tau, nu))

@@ -98,6 +98,16 @@ class TestGridSearch:
             for bad in (np.nan, np.inf):
                 with pytest.raises(DomainError):
                     search(p, "fpi", grid=np.array([0.5, bad]), f=f)
+            for not_1d in (np.array([[0.5, 1.0]]), np.array(1.0)):
+                with pytest.raises(DomainError):
+                    search(p, "fpi", grid=not_1d, f=f)
+
+    def test_rejects_bad_stop_rule(self, lattice8):
+        p, f = lattice8
+        for search in (grid_search, grid_argmin):
+            for tol, k_max in ((0.0, 100), (1.0, 100), (np.nan, 100), (1e-8, 0)):
+                with pytest.raises(DomainError):
+                    search(p, "fpi", grid=np.array([1.0]), tol=tol, k_max=k_max, f=f)
 
     @pytest.mark.parametrize("method", ["sor", "fpi"])
     @pytest.mark.parametrize("chunk_columns", [None, 3])
@@ -157,25 +167,6 @@ ascending_grids = st.lists(
 ).map(lambda values: np.array(sorted(values)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    random_ave_problems(),
-    st.sampled_from(["sor", "fpi"]),
-    ascending_grids,
-    st.floats(1e-10, 1e-2),
-    st.integers(0, 39).map(lambda j: 40 - j),  # k_max in 1..40, mostly long enough to converge
-    st.integers(1, 4),
-)
-def test_grid_argmin_matches_grid_search(problem, method, grid, tol, k_max, chunk_columns):
-    f = factorize(problem.A)
-    cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
-        full = grid_search(problem, method, grid=grid, cfg=cfg, f=f)
-        best = None if full.min_it is None else (full.best_param, full.min_it)
-        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
-
-
 def _direct_counts(problem, f, method, grid, tol=1e-8, k_max=100):
     """Every grid point's count from the direct block iteration alone, k_max + 1 where not converged."""
     zeros = np.zeros(problem.n)
@@ -187,22 +178,24 @@ def _direct_counts(problem, f, method, grid, tol=1e-8, k_max=100):
 @given(
     random_ave_problems(),
     st.sampled_from(["sor", "fpi"]),
-    ascending_grids.map(lambda grid: np.union1d(grid, [1e4])),
+    st.one_of(ascending_grids, ascending_grids.map(lambda grid: np.union1d(grid, [1e4]))),
     st.floats(1e-10, 1e-2),
     st.integers(1, 40),
     st.integers(1, 4),
 )
 def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, k_max, chunk_columns):
     # A zero component of x* leaves the sign pattern unsettled (fallback columns); n <= 6 makes the
-    # Krylov basis break down into an invariant space; 1e4 overflows.
+    # Krylov basis break down into an invariant space; 1e4 overflows. grid_argmin equals the best of
+    # the direct counts, and so the best point of grid_search.
     f = factorize(problem.A)
-    cfg = SolveConfig(parameter=1.0, tol=tol, k_max=k_max)
     expected = np.concatenate([_direct_counts(problem, f, method, [w], tol, k_max) for w in grid])
     best = None if expected.min() > k_max else (float(grid[np.argmin(expected)]), int(expected.min()))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "BLOCK_BYTES", chunk_columns * 8 * problem.n)
-        assert grid_search(problem, method, grid=grid, cfg=cfg, f=f).iterations.tolist() == expected.tolist()
-        assert grid_argmin(problem, method, grid=grid, cfg=cfg, f=f) == best
+        result = grid_search(problem, method, grid=grid, tol=tol, k_max=k_max, f=f)
+        assert result.iterations.tolist() == expected.tolist()
+        assert (result.best_param, result.min_it) == (best or (None, None))
+        assert grid_argmin(problem, method, grid=grid, tol=tol, k_max=k_max, f=f) == best
 
 
 class TestKrylovPath:
@@ -252,8 +245,7 @@ class TestKrylovPath:
         zeros = np.zeros(p.n)
         res = []
         solvers.iterate_block(p, f, method, [param], 1e-8, 100, zeros, zeros, lambda X, Y, r: res.append(r[0]))
-        cfg = SolveConfig(parameter=1.0, tol=res[-1])
-        result = grid_search(p, method, grid=np.array([param]), cfg=cfg, f=f)
+        result = grid_search(p, method, grid=np.array([param]), tol=res[-1], f=f)
         assert result.iterations.tolist() == _direct_counts(p, f, method, [param], tol=res[-1]).tolist() == [len(res)]
 
     def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
