@@ -174,6 +174,9 @@ def _run(problem, f, method, param, args, repeats=1) -> dict:
 
 
 def cmd_solve(args) -> int:
+    check_stop_rule(args.tol, args.kmax)  # bad input fails before the problem is built
+    if args.param not in ("optimal", "grid"):
+        SolveConfig(float(args.param), args.tol, args.kmax)
     problem = _load_problem(args.lattice, args.matrix)
     f = factorize(problem.A)
     rec = _run(problem, f, args.method, _param(args.param, problem, f, args.method, args), args)
@@ -182,6 +185,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_stop_rule(args.tol, args.kmax)  # before the problem is built
     problem = _load_problem(args.lattice, args.matrix)
     if args.format == "csv":
         # Only the table needs every grid point run to its end.

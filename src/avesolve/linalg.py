@@ -11,7 +11,11 @@ that is not SPD with :class:`NotPositiveDefinite`:
   which is positive exactly when A is SPD.
 
 On both branches a pivot at or below n*eps times its diagonal entry counts as
-not positive, so a matrix singular to working precision is rejected too.
+not positive, so a matrix singular to working precision is rejected too. A
+SuperLU factor's pivots are read back for that check only when A is not
+strictly diagonally dominant beyond rounding (a dominant A, such as every
+lattice, is SPD by proof): the first read makes scipy build and cache CSC
+copies of L and U, about 34 MB at lattice 256.
 
 The band wins while the band is narrow or mostly nonzero (lattices up to
 m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
@@ -51,6 +55,9 @@ _BAND_STORAGE_LIMIT = 2**23
 # and tie on Trefethen_4098b. Keep it at most 20: SuperLU sizes its panel statistics by the default
 # widths, and a wider panel overruns them (a lattice 256 factorization at 32 died with SIGSEGV).
 _PANEL_SIZE = 4
+
+# A Gershgorin lower bound above _DOMINANCE_C * n*eps times the upper one proves A SPD (see _spd_lu).
+_DOMINANCE_C = 4.0
 
 # Sweeps in a row that do not halve the best relative residual end the nu estimate. Every certified
 # estimate with lambda_max/lambda_min < 3e8 in tests, benchmark and a 300-matrix stress set needed <= 5.
@@ -204,7 +211,8 @@ def _first_bad_pivot(lu, floor: np.ndarray) -> int | None:
     """Elimination position of the first pivot that is not a diagonal one above its floor, or None.
 
     floor holds the least accepted pivot of each column, in the factorized
-    matrix's own order.
+    matrix's own order. Reading lu.U makes scipy build CSC copies of L and U,
+    cached on lu for its lifetime (about 34 MB at lattice 256).
     """
     # Column i is eliminated at position perm_c[i].
     floor_at = np.empty_like(floor)
@@ -219,13 +227,23 @@ def _first_bad_pivot(lu, floor: np.ndarray) -> int | None:
 
 
 def _spd_lu(A: SparseSpdMatrix):
-    """SuperLU factor of A, checked to be P A P^T = L D L^T with D > 0."""
+    """SuperLU factor of A, checked to be P A P^T = L D L^T with D > 0.
+
+    A diagonally dominant A is SPD by proof; any other A pays :func:`_first_bad_pivot`'s read-back.
+    """
     try:
         lu = _symmetric_splu(A.csr, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         raise NotPositiveDefinite(_singular_pivot(A)) from None
+    lo, hi = gershgorin_interval(A)
+    if lo > _DOMINANCE_C * A.n * np.finfo(np.float64).eps * hi:
+        # The computed lo is within n*eps*hi of the exact one, so A is strictly diagonally dominant by over
+        # 3n*eps*hi. Each Schur complement keeps every row's dominance margin, so each exact pivot is at least
+        # that, far above its floor n*eps*a_ii and its rounding (growth <= 2); with diag_pivot_thresh=0,
+        # SuperLU therefore never left the diagonal, and P A P^T = L D L^T with D > 0.
+        return lu
     j = _first_bad_pivot(lu, _pivot_floor(A.csr.diagonal()))
     if j is not None:
         # Column i of A is eliminated at position perm_c[i].
@@ -343,9 +361,11 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
 
     - The first shift is the Gershgorin lower bound
       sigma0 = min_i(a_ii - sum_{j != i} |a_ij|) <= lambda_min(A). When
-      sigma0 > 0 (A is then SPD), the first factorization is of A - sigma0*I,
-      backed off just below sigma0 if rounding leaves it singular; otherwise
-      it is of A itself, and f, when given, is that factorization.
+      sigma0 > 0 (A is then SPD), the first factorization is of A - sigma*I,
+      sigma 8n*eps*hi below sigma0 (hi the Gershgorin upper bound; sigma0 if
+      that is subnormal) so that it is provably SPD, and lower if rounding
+      leaves it singular; otherwise it is of A itself, and f, when given, is
+      that factorization.
     - The start vector v_i = i (normalized) has components along both the
       symmetric and the antisymmetric eigenvectors of a persymmetric matrix,
       to which an all-ones start is blind.
@@ -369,11 +389,14 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
     shift, hi = gershgorin_interval(A)
+    margin = 0.0
     if shift > 0:
-        f = None
+        # Backed off by twice the dominance margin, A - sigma*I is provably SPD in _spd_lu too. A margin
+        # below the least normal double is dropped: it would leave the shifted diagonal subnormal.
+        f, margin = None, 2 * _DOMINANCE_C * A.n * np.finfo(np.float64).eps * hi
+        margin = margin if margin >= np.finfo(np.float64).tiny else 0.0
     elif f is None:
         f = factorize(A)
-    margin = 0.0
     v = np.arange(1.0, A.n + 1)
     v /= _norm(v)
     p, res_prev, best, stalls = None, np.inf, np.inf, 0

@@ -209,10 +209,19 @@ class TestFactorizeSparse(TestFactorize):
         f = factorize(gen_lattice(4).A)
         assert f._band is None and f._lu is not None
 
-    @pytest.mark.parametrize("shift, spd", [(4.5, False), (3.9, True)])
-    def test_spd_check_across_many_panels(self, shift, spd):
+    @pytest.mark.parametrize("shift, spd", [(4.5, False), (4.0, True), (3.9, True)])
+    def test_spd_check_across_many_panels(self, shift, spd, monkeypatch):
         # n = 4096 spans about a thousand panels; every diagonal entry stays positive (8 - shift).
-        # lambda_min is about 4.0046 - shift: -0.5 (rejected) or +0.1 (factorized).
+        # lambda_min is about 4.0046 - shift: -0.5 (rejected), +4.7e-3 or +0.1 (factorized). Only
+        # shift 3.9 leaves A diagonally dominant (Gershgorin bound 0.1); the others read the pivots back.
+        read_backs = []
+        first_bad_pivot = linalg._first_bad_pivot
+
+        def counted(lu, floor):
+            read_backs.append(lu)
+            return first_bad_pivot(lu, floor)
+
+        monkeypatch.setattr(linalg, "_first_bad_pivot", counted)
         A = SparseSpdMatrix.from_scipy(gen_lattice(64).A.csr - shift * sp.identity(4096))
         if spd:
             r = np.arange(1.0, A.n + 1)
@@ -222,6 +231,77 @@ class TestFactorizeSparse(TestFactorize):
             with pytest.raises(NotPositiveDefinite) as exc:
                 factorize(A)
             assert 0 <= exc.value.pivot_index < A.n
+        assert bool(read_backs) == (shift >= 4.0)
+
+
+@pytest.fixture
+def no_read_back(monkeypatch):
+    """Fail every read-back of SuperLU's pivots, which a diagonally dominant matrix must not need."""
+
+    def fail(lu, floor):
+        raise AssertionError("SuperLU pivots read back")
+
+    monkeypatch.setattr(linalg, "_first_bad_pivot", fail)
+
+
+@pytest.mark.usefixtures("no_read_back")
+class TestDominanceCertificate:
+    def test_lattice_factorizes_and_solves(self, sparse_branch):
+        problem = gen_lattice(16)
+        f = factorize(problem.A)
+        assert f._lu is not None
+        z = f.solve(problem.b)
+        assert np.linalg.norm(matvec(problem.A, z) - problem.b) <= 1e-12 * np.linalg.norm(problem.b)
+
+    def test_nu_from_one_certified_factorization(self, request, factorize_calls):
+        # The first shifted factor, A - (sigma0 - margin)*I, is dominant too.
+        A = gen_lattice(16).A
+        band_nu = estimate_inv_norm(A)
+        factorize_calls.clear()
+        request.getfixturevalue("sparse_branch")
+        nu = estimate_inv_norm(A)
+        assert len(factorize_calls) == 1
+        assert abs(nu - band_nu) <= 8 * np.spacing(band_nu)
+
+
+def _dominance_scaled(M, delta):
+    """M symmetrized, with (1 + delta) times each row's off-diagonal absolute sum (1 if 0) on the diagonal."""
+    S = (M + M.T) / 2
+    np.fill_diagonal(S, 0.0)
+    r = np.abs(S).sum(axis=1)
+    np.fill_diagonal(S, np.where(r > 0, (1 + delta) * r, 1.0))
+    return S
+
+
+near_dominant = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, n),
+                   elements=st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))),
+        st.floats(-0.5, 0.5),
+    )
+).map(lambda args: _dominance_scaled(*args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_dominant)
+def test_superlu_spd_check_near_dominance_threshold(dense):
+    # delta > 0 gives dominant matrices, most of them certified without a pivot read-back; delta <= 0
+    # gives matrices that are SPD or not, which only the read-back can tell.
+    lam = np.linalg.eigvalsh(dense)
+    norm = np.abs(lam).max()
+    assume(abs(lam[0]) > 1e-8 * norm)
+    A = SparseSpdMatrix.from_dense(dense)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BAND_STORAGE_LIMIT", 0)
+        if lam[0] < 0:
+            with pytest.raises(NotPositiveDefinite) as exc:
+                factorize(A)
+            assert 0 <= exc.value.pivot_index < A.n
+        else:
+            r = np.arange(1.0, A.n + 1)
+            z = factorize(A).solve(r)
+            # Backward error: lambda_min may be as small as 1e-8 ||A||, so z itself may be far off.
+            assert np.linalg.norm(matvec(A, z) - r) <= 1e-10 * norm * np.linalg.norm(z)
 
 
 def test_panel_size_within_superlu_statistics():
@@ -367,9 +447,11 @@ class TestEstimateInvNorm:
         assert len(factorize_calls) == 1
 
     @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e200])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diagonal_at_extreme_scale(self, s):
         # At these scales a squared component of z = (A - sigma*I)^{-1} v or of
-        # the residual leaves the float range; the norms must not.
+        # the residual leaves the float range; the norms must not. A first shift
+        # that left a subnormal diagonal entry made a 0/0 in the basis at 1e-300.
         A = SparseSpdMatrix.from_dense(np.diag([s, 2 * s]))
         assert estimate_inv_norm(A) == pytest.approx(1 / s, rel=1e-12)
 
