@@ -366,9 +366,10 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
       that is subnormal) so that it is provably SPD, and lower if rounding
       leaves it singular; otherwise it is of A itself, and f, when given, is
       that factorization.
-    - The start vector v_i = i (normalized) has components along both the
-      symmetric and the antisymmetric eigenvectors of a persymmetric matrix,
-      to which an all-ones start is blind.
+    - The start vector is a seeded Gaussian draw (normalized). A structured
+      start can be orthogonal to the eigenvector of lambda_min, which LOBPCG
+      then never finds: v_i = i to e_0 + e_9 - e_4 - e_5 (1 + 10 = 5 + 6),
+      all ones to the antisymmetric eigenvectors of a persymmetric matrix.
     - The Rayleigh quotient and the residual are those of z against A; the
       quotient is accepted once the residual bounds its relative error by tol.
       z, not the Ritz vector, is tested: the solve damps each component along
@@ -397,7 +398,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         margin = margin if margin >= np.finfo(np.float64).tiny else 0.0
     elif f is None:
         f = factorize(A)
-    v = np.arange(1.0, A.n + 1)
+    v = np.random.default_rng(0).standard_normal(A.n)
     v /= _norm(v)
     p, res_prev, best, stalls = None, np.inf, np.inf, 0
     while stalls < _STALL_SWEEPS:

@@ -3,9 +3,10 @@
 One Krylov basis serves the whole grid (:func:`_krylov_counts`): while the
 iterates keep the sign pattern of A^{-1} b, both iterations are linear, and
 every grid point advances as a short row of coefficients on one basis built
-with one solve per step. A grid point's count is taken from it only where a
-stated rounding margin certifies that the direct iteration stops at the same
-step. Every other grid point runs in the direct block iteration
+with one solve per step, and as many steps as an undecided point needs. A
+grid point's count is taken from it only where a stated rounding margin
+certifies that the direct iteration stops at the same step. Every other grid
+point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
 multi-RHS factor-solve per step. Both paths take the grid in chunks of
 consecutive points (:func:`_chunks`), sized by BLOCK_BYTES. Two searches
@@ -54,18 +55,12 @@ class SweepResult:
 # Columns are run in chunks small enough that one n x chunk block of iterates stays below this many bytes
 # (one column when a single one is larger). A step keeps about ten such blocks alive, so this bounds the
 # memory a sweep adds; on lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast. The
-# Krylov path chunks its coefficient rows by the same bound and holds its basis to _BASIS_BLOCKS of them.
+# Krylov path chunks its coefficient rows by the same bound; its basis holds the vectors its columns need.
 BLOCK_BYTES = 128 * 2**10
 
 # The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the chunk of grid
 # points nearest it first.
 PAPER_OPTIMUM = 1.0
-
-# The Krylov basis V and the orthonormal Q of the residual map hold 2 n doubles per step; they are kept
-# within this many blocks of BLOCK_BYTES (8 MiB at its default), so a large n gets a short
-# basis: 100 vectors up to n = 4096, 32 on lattice 128, 8 on lattice 256. A column still undecided
-# when the basis is full falls back to the direct iteration.
-_BASIS_BLOCKS = 64
 
 _EPS = np.finfo(np.float64).eps
 # A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
@@ -124,8 +119,8 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
     then beat it on count. The grid runs in chunks (:func:`_chunks`) of rows whose coefficients
     fill one block of BLOCK_BYTES, so that with ``argmin`` later chunks stop at the k* found so far;
-    the sign check forms the iterates x_k = V c_k one block at a time. A column still undecided when
-    the basis is full (_BASIS_BLOCKS) is not certified.
+    the sign check forms the iterates x_k = V c_k one block at a time. The basis doubles when full, so
+    it holds fewer than twice as many vectors as the slowest column has taken steps, never k_max x n.
     Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
     is for :func:`avesolve.solvers.iterate_block` to run.
     """
@@ -144,9 +139,9 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     norm_A = gershgorin_interval(A)[1]
     norm_b = float(np.linalg.norm(b))
     scale = 2 * _EPS * max(1.0, nu_bound)
-    cap = min(k_max, n, max(1, _BASIS_BLOCKS * BLOCK_BYTES // (16 * n)))
-    V, H = np.zeros((cap, n)), np.zeros((cap, cap))
-    Q, R = np.zeros((cap + 1, n)), np.zeros((cap + 1, cap + 1))
+    cap = min(k_max, n)  # the most the basis needs: it grows only while m < k <= k_max, and m = n is invariant
+    V, H = np.zeros((1, n)), np.zeros((1, 1))
+    Q, R = np.zeros((2, n)), np.zeros((2, 2))
     V[0] = u / beta
     Q[0], R[0, 0] = b / norm_b, norm_b
 
@@ -168,14 +163,17 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
             C = G = np.zeros((len(cols), 1))
             for k in range(1, last + 1):
                 if m < k and not invariant:
-                    if m == cap < n:
-                        break  # the basis is full: the undecided columns fall back
                     z = f.solve(d * V[m - 1])
                     h, z_perp, norm = _orthogonalize(V[:m], z)
                     H[:m, m - 1] = h
                     if m == n or norm <= m * _EPS * np.linalg.norm(z):
                         invariant = True
                     else:
+                        if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
+                            grow = min(2 * m, cap) - m
+                            V = np.vstack([V, np.zeros((grow, n))])  # the old V is freed before Q grows
+                            Q = np.vstack([Q, np.zeros((grow, n))])
+                            H, R = (np.pad(X, (0, grow)) for X in (H, R))
                         H[m, m - 1], V[m] = norm, z_perp / norm
                         m += 1
                         add_residual_column(m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -520,8 +520,16 @@ random_spd_kinds = st.tuples(
 ).map(lambda args: _spd_of_kind(*args))
 
 
+def _start_blind_matrix():
+    """11 x 11, with the eigenvector e_0 + e_9 - e_4 - e_5 of lambda_min orthogonal to v_i = i."""
+    M = np.ones((11, 11))
+    M[0, 9] = M[4, 5] = 0.0
+    return _spd_of_kind("general", M, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_spd_kinds)
+@example(_start_blind_matrix())
 def test_estimate_inv_norm_matches_eigvalsh(dense):
     A = SparseSpdMatrix.from_dense(dense)
     expected = dense_inv_norm(A)

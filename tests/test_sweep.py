@@ -137,15 +137,15 @@ class TestGridArgmin:
         p, f = lattice8
         assert grid_argmin(p, method, f=f) == expected
 
-    @pytest.mark.parametrize("method, basis_blocks", [("fpi", None), ("sor", None), ("fpi", 0), ("sor", 0)],
+    @pytest.mark.parametrize("method, direct", [("fpi", False), ("sor", False), ("fpi", True), ("sor", True)],
                              ids=["fpi", "sor", "fpi-direct", "sor-direct"])
-    def test_lattice8_stops_early(self, lattice8, monkeypatch, method, basis_blocks):
+    def test_lattice8_stops_early(self, lattice8, monkeypatch, method, direct):
         # Running every grid point to its end takes 106k (FPI) and 132k (SOR) column-steps. The Krylov
-        # path takes about 1.4k and 5.7k; without it (a one-vector basis), the capped direct chunks
-        # take about 22k.
+        # path takes about 1.4k and 5.7k; without it (no bound on nu, so no column certified), the
+        # capped direct chunks take about 22k.
         p, f = lattice8
-        if basis_blocks is not None:
-            monkeypatch.setattr(sweep, "_BASIS_BLOCKS", basis_blocks)
+        if direct:
+            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A: None)
         columns = []
         solve = linalg.FactorHandle.solve
 
@@ -226,13 +226,15 @@ class TestKrylovPath:
         assert grid_search(problem, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
-    def test_full_basis_falls_back(self, lattice8, monkeypatch, method):
-        # A 128-byte block holds the basis to 8 vectors, fewer than the 11 steps of the fastest column.
+    def test_tiny_blocks_keep_the_basis(self, lattice8, monkeypatch, method):
+        # A 128-byte block chunks one coefficient row at a time; the basis still grows to the 11 and more
+        # steps the columns take, and the Krylov path certifies 34 (FPI) and 28 (SOR) of the 39.
         p, f = lattice8
         grid = np.round(np.arange(1, 40) * 0.05, 2)
         direct = _direct_counts(p, f, method, grid)
         monkeypatch.setattr(sweep, "BLOCK_BYTES", 128)
-        assert not sweep._krylov_counts(p, f, method, grid, 1e-8, 100, argmin=False)[1].any()
+        its, certified = sweep._krylov_counts(p, f, method, grid, 1e-8, 100, argmin=False)
+        assert certified.sum() > len(grid) // 2 and its[certified].tolist() == direct[certified].tolist()
         assert grid_search(p, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
         assert grid_argmin(p, method, grid=grid, f=f) == (float(grid[np.argmin(direct)]), int(direct.min()))
 
