@@ -2,7 +2,6 @@
 
 from .errors import (
     AveError,
-    BracketFailure,
     ConvergenceFailure,
     DimensionMismatch,
     DomainError,

@@ -25,14 +25,6 @@ class ConvergenceFailure(AveError):
     """An inner iteration (e.g. the nu estimate) did not converge."""
 
 
-class BracketFailure(AveError):
-    """Bisection bracket endpoints do not straddle a sign change."""
-
-    def __init__(self, lo: float, f_lo: float, hi: float, f_hi: float):
-        self.lo, self.f_lo, self.hi, self.f_hi = lo, f_lo, hi, f_hi
-        super().__init__(f"no sign change on bracket: f({lo}) = {f_lo}, f({hi}) = {f_hi}")
-
-
 class ParseError(AveError):
     """Malformed Matrix Market input."""
 

@@ -59,6 +59,9 @@ _PANEL_SIZE = 4
 # A Gershgorin lower bound above _DOMINANCE_C * n*eps times the upper one proves A SPD (see _spd_lu).
 _DOMINANCE_C = 4.0
 
+# The nu estimate is accepted once its residual bounds its relative error by this.
+_NU_TOL = 1e-8
+
 # Sweeps in a row that do not halve the best relative residual end the nu estimate. Every certified
 # estimate with lambda_max/lambda_min < 3e8 in tests, benchmark and a 300-matrix stress set needed <= 5.
 _STALL_SWEEPS = 8
@@ -310,12 +313,6 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
         margin = max(4.0 * margin, abs(shift) * 1e-15, np.finfo(np.float64).tiny)
 
 
-def check_tol(tol: float) -> None:
-    """The one tolerance rule, for the iterations and the nu estimate: tol lies in (0, 1)."""
-    if not 0 < tol < 1:
-        raise DomainError("tol must lie in (0, 1)")
-
-
 def gershgorin_interval(A: SparseSpdMatrix) -> tuple[float, float]:
     """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|: every eigenvalue of A lies in [lo, hi]."""
     on_diag = A.rows == A.col_idx
@@ -351,7 +348,7 @@ def _norm(v: np.ndarray) -> float:
         return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
-def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | None = None) -> float:
+def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> float:
     """Estimate nu = ||A^{-1}||_2 = 1/lambda_min(A) for SPD A.
 
     Each sweep does one solve z = (A - sigma*I)^{-1} v with the current factor
@@ -371,7 +368,8 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
       then never finds: v_i = i to e_0 + e_9 - e_4 - e_5 (1 + 10 = 5 + 6),
       all ones to the antisymmetric eigenvectors of a persymmetric matrix.
     - The Rayleigh quotient and the residual are those of z against A; the
-      quotient is accepted once the residual bounds its relative error by tol.
+      quotient is accepted once the residual bounds its relative error by
+      _NU_TOL = 1e-8, a fixed certificate that no caller sets.
       z, not the Ritz vector, is tested: the solve damps each component along
       a large eigenvalue by (lambda_min - sigma)/(lambda - sigma), whereas a
       Ritz vector keeps such components at the size Rayleigh-Ritz cannot see,
@@ -380,13 +378,12 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
       eigenvalues), iteration restarts, without p, on a factorization shifted
       just below the current quotient, which restores a fast contraction rate.
     - After _STALL_SWEEPS sweeps in a row that do not halve the best relative
-      residual (tol is then below its rounding floor), ConvergenceFailure is
+      residual (_NU_TOL is then below its rounding floor), ConvergenceFailure is
       raised. The loop always ends: a positive double halves only ~2100 times.
     - Every norm is taken on a vector scaled by a power of two (:func:`_norm`),
       so A at any scale gets its nu; a nu above the float range, from a
       lambda_min below about 5.6e-309, raises DomainError instead of inf.
     """
-    check_tol(tol)
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
     shift, hi = gershgorin_interval(A)
@@ -421,7 +418,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         res = _norm(Az - lam * z)
         # Symmetric eigenvalue perturbation: some eigenvalue lies within res
         # of lam, and z tracks the minimal eigenvector, so res bounds the error.
-        if res <= tol * abs(lam):
+        if res <= _NU_TOL * abs(lam):
             if not math.isfinite(1.0 / lam):
                 raise DomainError(f"nu = 1/lambda_min overflows: lambda_min = {lam:.3g}")
             return 1.0 / lam
@@ -438,4 +435,4 @@ def estimate_inv_norm(A: SparseSpdMatrix, tol: float = 1e-8, f: FactorHandle | N
         v /= _norm(v)
     floor = np.finfo(np.float64).eps * hi / abs(lam)  # hi: the Gershgorin bound on ||A||
     raise ConvergenceFailure(f"nu estimate stalled: best relative residual {best:.3g} did not halve in {_STALL_SWEEPS}"
-                             f" sweeps (tol {tol:g}; rounding floor up to eps*||A||/lambda = {floor:.3g})")
+                             f" sweeps (tol {_NU_TOL:g}; rounding floor up to eps*||A||/lambda = {floor:.3g})")

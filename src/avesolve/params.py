@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketFailure, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -108,27 +108,24 @@ def _g1(omega: float, nu: float) -> float:
     return q + (p * q - 8.0 * (omega - 1.0) ** 3) / math.sqrt(p * p - 4.0 * (omega - 1.0) ** 4)
 
 
-def chen_opt_omega(nu: float, tol: float = 1e-10) -> float:
-    """Prior-work optimal omega: 1 for nu <= 1/4, otherwise the bisection root in (0,1)."""
+def chen_opt_omega(nu: float) -> float:
+    """Prior-work optimal omega: 1 for nu <= 1/4, otherwise the root of _g1 in (0, 1], to 1e-10.
+
+    Bisection on [0, 1] needs no bracket check: for every nu > 1/4, _g1(0) = -6 - 10/sqrt(5) < 0 and
+    _g1(1) = 4 nu (4 nu - 1) > 0 (in floats too, even at the next double above 1/4). _g1 is defined on
+    the whole bracket: p - 2 (omega - 1)^2 >= (omega - 1)^2 + 2 nu^2 omega^4 > 0 there, so the square
+    root's argument p^2 - 4 (omega - 1)^4 is positive.
+    """
     _check_nu(nu)
-    if not 0.0 < tol <= 1e-4:
-        raise DomainError("tol must lie in (0, 1e-4]")
     if nu <= 0.25:
         return 1.0
-    # Endpoints pulled inside (0,1) to dodge the removable singularity at omega = 1.
-    lo, hi = 1e-8, 1.0 - 1e-8
-    f_lo, f_hi = _g1(lo, nu), _g1(hi, nu)
-    if f_lo * f_hi > 0:
-        raise BracketFailure(lo, f_lo, hi, f_hi)
-    while hi - lo > tol:
+    lo, hi = 0.0, 1.0  # _g1(lo) < 0 < _g1(hi)
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        f_mid = _g1(mid, nu)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
+        if _g1(mid, nu) > 0:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
+            lo = mid
     return 0.5 * (lo + hi)
 
 

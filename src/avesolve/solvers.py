@@ -20,13 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, check_tol, matvec
+from .linalg import FactorHandle, matvec
 from .problems import AveProblem
 
 
 def check_stop_rule(tol: float, k_max: int) -> None:
-    """The one stopping rule of the iterations and sweeps: tol in (0, 1), k_max at least 1."""
-    check_tol(tol)
+    """The one stopping rule of the iterations and sweeps: tol in (0, 1), k_max at least 1.
+
+    The nu estimate has no setting: it certifies to a fixed 1e-8 (:func:`avesolve.linalg.estimate_inv_norm`).
+    """
+    if not 0 < tol < 1:
+        raise DomainError("tol must lie in (0, 1)")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
 

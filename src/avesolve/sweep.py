@@ -171,9 +171,10 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                     else:
                         if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
                             grow = min(2 * m, cap) - m
-                            V = np.vstack([V, np.zeros((grow, n))])  # the old V is freed before Q grows
-                            Q = np.vstack([Q, np.zeros((grow, n))])
-                            H, R = (np.pad(X, (0, grow)) for X in (H, R))
+                            # In place, zero-filled, with no second copy; refcheck raises if a view is alive.
+                            V.resize((len(V) + grow, n))
+                            Q.resize((len(Q) + grow, n))
+                            H, R = (np.pad(X, (0, grow)) for X in (H, R))  # resize cannot grow both axes
                         H[m, m - 1], V[m] = norm, z_perp / norm
                         m += 1
                         add_residual_column(m)

@@ -313,6 +313,26 @@ class TestBench:
         assert matrix["SORLno"][3] == "15"
         assert matrix["FPIno"][3] == "12"
 
+    def test_nu_just_above_quarter_keeps_every_row(self, tmp_path, capsys):
+        # nu = 0.25000001: the prior-work optimum lies within 1e-7 of 1.
+        path = tmp_path / "M.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 3.99999984\n")
+        rc, out = run_main(capsys, "ranges", "--matrix", str(path), "--format", "json")
+        assert rc == 0
+        assert 1 - 1e-7 < json.loads(out)["omega_chen_opt"] <= 1
+        rc, out = run_main(capsys, "bench", "--lattice", "4", "--matrix", str(path), "--format", "csv")
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 10
+        assert {row[1]: row[2] for row in rows if row[0] == str(path)}["SORLopt"] == "1.0000"
+
+    def test_lattice8_json_matches_golden_file(self, capsys):
+        # tests/data holds `ave bench --lattice 8 --format json` with its timings (cpu) removed.
+        rc, out = run_main(capsys, "bench", "--lattice", "8", "--format", "json")
+        assert rc == 0
+        rows = [{k: v for k, v in row.items() if k != "cpu"} for row in json.loads(out)]
+        assert rows == json.loads((DATA / "bench_lattice8.json").read_text())
+
     def test_nu_stall_costs_only_its_rows(self, tmp_path, capsys):
         # lambda_max/lambda_min = 1e9 puts the nu certificate below its rounding floor.
         path = str(tmp_path / "edge.mtx")

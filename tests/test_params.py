@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from avesolve import (
-    BracketFailure,
     DomainError,
     ParamEnvelope,
     check_kema_condition,
@@ -18,6 +19,7 @@ from avesolve import (
     rho_U,
     rho_W,
 )
+from avesolve.params import _g1
 
 
 def explicit_W(omega, nu):
@@ -173,13 +175,17 @@ class TestChenOptOmega:
     def test_table_values(self, nu, expected):
         assert chen_opt_omega(nu) == pytest.approx(expected, abs=5e-4)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            chen_opt_omega(0.5, tol=1e-3)
+    @pytest.mark.parametrize("nu", [0.25000001, 0.2500000274, 0.25 + 1e-12])
+    def test_just_above_quarter(self, nu):
+        # The root lies within 1e-8 of 1 here.
+        assert 1 - 1e-7 < chen_opt_omega(nu) <= 1
 
-    def test_bracket_failure_reports_endpoints(self):
-        exc = BracketFailure(0.1, -2.0, 0.9, -1.0)
-        assert "0.1" in str(exc) and "-2.0" in str(exc)
+    @given(st.floats(0.25, 1.0, exclude_min=True, exclude_max=True))
+    @example(float(np.nextafter(0.25, 1)))
+    def test_root_of_g1_in_unit_interval(self, nu):
+        omega = chen_opt_omega(nu)
+        assert 0 < omega <= 1
+        assert _g1(max(0.0, omega - 1e-10), nu) <= 0 < _g1(min(1.0, omega + 1e-10), nu)
 
 
 class TestParamEnvelope:
