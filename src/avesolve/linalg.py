@@ -1,6 +1,7 @@
 """Sparse SPD matrix storage, Cholesky factorization and inverse-norm estimation.
 
-Matrices are held in full-symmetric CSR (both triangles stored).
+A matrix is held once, in full-symmetric CSR (both triangles stored): the
+arrays of its own validated scipy csr, in scipy's index dtype.
 :func:`factorize` takes one of two branches, and both reject every matrix
 that is not SPD with :class:`NotPositiveDefinite`:
 
@@ -73,25 +74,21 @@ class SparseSpdMatrix:
 
     Finite values, positive diagonal and structural/value symmetry are
     checked on construction; full positive definiteness is only established
-    by a successful :func:`factorize`.
+    by a successful :func:`factorize`. The matrix stores one copy of its
+    input: row_ptr, col_idx and values are the indptr, indices and data of
+    the validated csr, in scipy's index dtype, and alias no caller's array.
     """
 
     n: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    # The validated scipy form of the same arrays, built once.
     csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    # The row index of every stored entry, aligned with col_idx and values.
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
         col_idx = np.asarray(self.col_idx, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "row_ptr", row_ptr)
-        object.__setattr__(self, "col_idx", col_idx)
-        object.__setattr__(self, "values", values)
         if self.n < 1:
             raise DomainError("dimension must be positive")
         if row_ptr.shape != (self.n + 1,):
@@ -108,20 +105,19 @@ class SparseSpdMatrix:
         bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
         if bad.any():
             raise DomainError(f"column indices not strictly increasing in row {rows[1:][bad][0]}")
-        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(self.n, self.n))
+        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(self.n, self.n), copy=True)
         if (csr != csr.T).nnz != 0:
             raise SymmetryError("stored pattern/values are not symmetric")
         diag = csr.diagonal()
         if np.any(diag <= 0):
             raise DomainError("every diagonal entry must be stored and positive")
-        object.__setattr__(self, "csr", csr)
-        object.__setattr__(self, "rows", rows)
+        for name, array in [("csr", csr), ("row_ptr", csr.indptr), ("col_idx", csr.indices), ("values", csr.data)]:
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
-        csr = sp.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        csr = sp.csr_matrix(mat, copy=True)  # canonicalized below in place, so never mat's own arrays
+        csr.sum_duplicates()  # sorts the indices too
         csr.eliminate_zeros()
         return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 
@@ -132,9 +128,8 @@ class SparseSpdMatrix:
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
-    @property
-    def bandwidth(self) -> int:
-        return int(np.abs(self.rows - self.col_idx).max()) if len(self.col_idx) else 0
+    def _rows(self) -> np.ndarray:  # the row index of every stored entry, aligned with col_idx and values
+        return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,13 @@ def factorize(A: SparseSpdMatrix) -> FactorHandle:
 
     Raises NotPositiveDefinite naming the failing pivot when A is not SPD.
     """
-    bw = A.bandwidth
+    # Each row holds its diagonal and sorted columns, so its first column gives the lower bandwidth, all dpbtrf reads.
+    bw = int(np.max(np.arange(A.n) - A.col_idx[A.row_ptr[:-1]]))
     if (bw + 1) * A.n <= _BAND_STORAGE_LIMIT:
         dense_band = np.zeros((bw + 1, A.n))
-        lower = A.rows >= A.col_idx
-        dense_band[A.rows[lower] - A.col_idx[lower], A.col_idx[lower]] = A.values[lower]
+        rows = A._rows()
+        lower = rows >= A.col_idx
+        dense_band[rows[lower] - A.col_idx[lower], A.col_idx[lower]] = A.values[lower]
         c, info = dpbtrf(dense_band, lower=1)
         if info > 0:
             raise NotPositiveDefinite(info - 1)
@@ -265,7 +262,7 @@ def _singular_pivot(A: SparseSpdMatrix) -> int:
     factorizations, on an error path only.
     """
     dominant = A.csr.copy()
-    dominant.data = np.where(A.rows == A.col_idx, float(A.n), -1.0)
+    dominant.data = np.where(A._rows() == A.col_idx, float(A.n), -1.0)
     order = np.argsort(_symmetric_splu(dominant, "MMD_AT_PLUS_A").perm_c)
     C = A.csr[order][:, order]
     floor = _pivot_floor(C.diagonal())
@@ -283,14 +280,14 @@ def _singular_pivot(A: SparseSpdMatrix) -> int:
 def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
     """A - sigma*I for sigma below A's least diagonal entry, built without SparseSpdMatrix's checks.
 
-    Only the diagonal values differ from the validated A: the pattern and symmetry are A's, and every
-    diagonal entry stays positive.
+    Only the diagonal values differ from the validated A, whose row_ptr and col_idx it shares: the symmetry
+    is A's, every diagonal entry stays positive, and the new values are held once, as its csr's data.
     """
     values = A.values.copy()
-    values[A.rows == A.col_idx] -= sigma
+    values[A._rows() == A.col_idx] -= sigma
     shifted = copy.copy(A)
-    object.__setattr__(shifted, "values", values)
     object.__setattr__(shifted, "csr", sp.csr_matrix((values, A.col_idx, A.row_ptr), shape=(A.n, A.n)))
+    object.__setattr__(shifted, "values", shifted.csr.data)
     return shifted
 
 
@@ -315,8 +312,9 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
 
 def gershgorin_interval(A: SparseSpdMatrix) -> tuple[float, float]:
     """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|: every eigenvalue of A lies in [lo, hi]."""
-    on_diag = A.rows == A.col_idx
-    off = np.bincount(A.rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
+    rows = A._rows()
+    on_diag = rows == A.col_idx
+    off = np.bincount(rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
     return float(np.min(A.values[on_diag] - off)), float(np.max(A.values[on_diag] + off))
 
 

@@ -91,6 +91,50 @@ class TestSparseSpdMatrix:
         A = np.array([[4.0, 1.0], [1.0, 4.0]])
         assert np.array_equal(SparseSpdMatrix.from_dense(A).to_dense(), A)
 
+    def test_from_scipy_leaves_argument_untouched(self):
+        # Unsorted columns in every row and an explicit zero at (2, 0): canonicalizing them in place
+        # would sort M's indices and drop M's zero.
+        M = sp.csr_matrix(([-1.0, 4.0, -1.0, -1.0, 4.0, -1.0, 4.0, 0.0], [1, 0, 2, 0, 1, 1, 2, 0], [0, 2, 5, 8]),
+                          shape=(3, 3))
+        before = [a.tobytes() for a in (M.indptr, M.indices, M.data)]
+        A = SparseSpdMatrix.from_scipy(M)
+        assert [a.tobytes() for a in (M.indptr, M.indices, M.data)] == before
+        assert np.array_equal(A.to_dense(), M.toarray())
+        assert A.csr.nnz == 7
+
+    def test_later_edit_of_scipy_argument_does_not_reach_matrix(self):
+        M = sp.diags([-np.ones(4), np.full(5, 4.0), -np.ones(4)], [-1, 0, 1]).tocsr()
+        A = SparseSpdMatrix.from_scipy(M)
+        dense = A.to_dense()
+        M[0, 1] = -3.0
+        assert np.array_equal(A.to_dense(), dense)
+        f = factorize(A)
+        assert f._band is not None
+        x = np.arange(1.0, 6.0)
+        assert np.linalg.norm(f.solve(matvec(A, x)) - x) <= 1e-14
+
+    def test_later_edit_of_constructor_values_does_not_reach_matrix(self):
+        values = np.array([4.0, -1.0, -1.0, 4.0])
+        A = SparseSpdMatrix(2, np.array([0, 2, 4]), np.array([0, 1, 0, 1]), values)
+        values[1] = -3.0
+        assert np.array_equal(A.to_dense(), [[4.0, -1.0], [-1.0, 4.0]])
+
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_entries_held_once_in_csr(self, m):
+        # Lattice 16 takes the band branch of factorize, lattice 256 SuperLU, on the same int32 indices.
+        problem = gen_lattice(m)
+        A = problem.A
+        shifted = linalg._shifted(A, 1.0)
+        for name, csr_name in [("row_ptr", "indptr"), ("col_idx", "indices"), ("values", "data")]:
+            assert np.shares_memory(getattr(A, name), getattr(A.csr, csr_name))
+            assert np.shares_memory(getattr(shifted, name), getattr(shifted.csr, csr_name))
+        nnz_sized = [name for name, v in vars(A).items() if isinstance(v, np.ndarray) and len(v) == A.csr.nnz]
+        assert sorted(nnz_sized) == ["col_idx", "values"]
+        f = factorize(A)
+        assert (f._band is None) == (m == 256)
+        z = f.solve(problem.b)
+        assert np.linalg.norm(matvec(A, z) - problem.b) <= 1e-12 * np.linalg.norm(problem.b)
+
 
 class TestMatvec:
     def test_identity(self):
