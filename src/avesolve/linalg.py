@@ -86,8 +86,10 @@ class SparseSpdMatrix:
     csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
-        col_idx = np.asarray(self.col_idx, dtype=np.int64)
+        # Signed integer indices are checked as given (scipy's int32 at every size in use): an int64 copy of
+        # each would only raise the construction's peak. Any other index dtype is cast to int64.
+        row_ptr, col_idx = (a if a.dtype.kind == "i" else a.astype(np.int64)
+                            for a in map(np.asarray, (self.row_ptr, self.col_idx)))
         values = np.asarray(self.values, dtype=np.float64)
         if self.n < 1:
             raise DomainError("dimension must be positive")
@@ -101,7 +103,7 @@ class SparseSpdMatrix:
             raise DomainError("column indices out of range")
         if not np.isfinite(values).all():
             raise DomainError("matrix values must be finite")
-        rows = np.repeat(np.arange(self.n), np.diff(row_ptr))
+        rows = np.repeat(np.arange(self.n, dtype=row_ptr.dtype), np.diff(row_ptr))
         bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
         if bad.any():
             raise DomainError(f"column indices not strictly increasing in row {rows[1:][bad][0]}")
@@ -116,9 +118,11 @@ class SparseSpdMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
-        csr = sp.csr_matrix(mat, copy=True)  # canonicalized below in place, so never mat's own arrays
-        csr.sum_duplicates()  # sorts the indices too
-        csr.eliminate_zeros()
+        csr = sp.csr_matrix(mat)  # a csr mat's own arrays, which the constructor copies once
+        if not (csr.has_canonical_format and csr.data.all()):
+            csr = csr.copy()  # canonicalized in place below, so never mat's own arrays
+            csr.sum_duplicates()  # sorts the indices too
+            csr.eliminate_zeros()
         return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 
     @classmethod
@@ -335,15 +339,29 @@ def inv_norm_bound(A: SparseSpdMatrix) -> float | None:
     return 1.0 / lo if lo > 0 else None
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v as numpy's pairwise sum of the products, never a BLAS call.
+
+    Every reduction of one or two vectors to a scalar in linalg and solvers
+    goes through here. A BLAS dot at lattice 256 wakes OpenBLAS's worker
+    threads, which then spin through the single-threaded code that follows;
+    factorizations and block solves still use BLAS threads. The sum runs in
+    one thread, in an order set by the length alone, and its error grows with
+    log n (einsum's running sum moved lattice 256's nu by 6 ulp, this by 2).
+    """
+    return float(np.add.reduce(u * v))
+
+
 def _norm(v: np.ndarray) -> float:
     """||v||_2 of v scaled by a power of two, so that no square overflows or underflows.
 
-    The scaling is exact: where np.linalg.norm(v) neither overflows nor
-    underflows, the result has its bits. A norm above the float range is inf.
+    The scaling is exact, so the result is sqrt(_dot(v, v)) wherever that
+    neither overflows nor underflows. A norm above the float range is inf.
     """
     e = int(np.frexp(np.max(np.abs(v)))[1])
+    s = np.ldexp(v, -e)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+        return float(np.ldexp(math.sqrt(_dot(s, s)), e))
 
 
 def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> float:
@@ -381,6 +399,9 @@ def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> floa
     - Every norm is taken on a vector scaled by a power of two (:func:`_norm`),
       so A at any scale gets its nu; a nu above the float range, from a
       lambda_min below about 5.6e-309, raises DomainError instead of inf.
+    - Every inner product and norm is a :func:`_dot`, never a BLAS call, so
+      the estimate has the same bits at any BLAS thread count; only the
+      factorizations and solves use BLAS threads.
     """
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
@@ -406,13 +427,13 @@ def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> floa
             w = w / _norm(w)
             for _ in range(2):
                 for u in basis:
-                    w -= (u @ w) * u
+                    w -= _dot(u, w) * u
             norm = _norm(w)
             if norm > 1e-10:
                 basis.append(w / norm)
         images = [matvec(A, u) for u in basis]
         z, Az = basis[0], images[0]
-        lam = float(z @ Az)
+        lam = _dot(z, Az)
         res = _norm(Az - lam * z)
         # Symmetric eigenvalue perturbation: some eigenvalue lies within res
         # of lam, and z tracks the minimal eigenvector, so res bounds the error.
@@ -428,7 +449,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> floa
         stalls = 0 if res / abs(lam) < 0.5 * best else stalls + 1
         best = min(best, res / abs(lam))
         # Rayleigh-Ritz: the next v is the smallest Ritz vector of A on the basis.
-        y = np.linalg.eigh([[u @ Au for Au in images] for u in basis])[1][:, 0]
+        y = np.linalg.eigh([[_dot(u, Au) for Au in images] for u in basis])[1][:, 0]
         p, v = v, sum(c * u for c, u in zip(y, basis))
         v /= _norm(v)
     floor = np.finfo(np.float64).eps * hi / abs(lam)  # hi: the Gershgorin bound on ||A||

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, matvec
+from .linalg import FactorHandle, _norm, matvec
 from .problems import AveProblem
 
 
@@ -70,11 +70,20 @@ class BlockStops:
     res: np.ndarray  # RES after the last update
 
 
-def _residuals(problem: AveProblem, X: np.ndarray) -> np.ndarray:
-    """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X."""
-    norm_b = np.linalg.norm(problem.b)
+def _norm_b(problem: AveProblem) -> float:
+    """||b||_2, the divisor of every relative residual, once per caller; DomainError for b = 0."""
+    norm_b = _norm(problem.b)
     if norm_b == 0.0:
         raise DomainError("relative residual undefined for b = 0")
+    return norm_b
+
+
+def _residuals(problem: AveProblem, X: np.ndarray, norm_b: float) -> np.ndarray:
+    """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X, norm_b = ||b||_2.
+
+    No vector reduction here uses BLAS: ||b|| is a :func:`avesolve.linalg._norm`, taken once by the
+    caller, and the row norms are numpy's own sums. Only the factor-solves use BLAS threads.
+    """
     return np.linalg.norm(matvec(problem.A, X) - np.abs(X) - problem.b, axis=1) / norm_b
 
 
@@ -83,7 +92,7 @@ def residual(problem: AveProblem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"vector has shape {x.shape}, expected ({problem.n},)")
-    return float(_residuals(problem, x[None])[0])
+    return float(_residuals(problem, x[None], _norm_b(problem))[0])
 
 
 def iterate_block(
@@ -111,6 +120,7 @@ def iterate_block(
     """
     if f.n != problem.n:
         raise DimensionMismatch("factorization dimension differs from problem dimension")
+    norm_b = _norm_b(problem)
     sor = method == "sor"
     params = np.asarray(params, dtype=np.float64)
     p = len(params)
@@ -128,7 +138,7 @@ def iterate_block(
             Z = f.solve(Y + problem.b)
             X = (1.0 - w) * X + w * Z if sor else Z
             Y = (1.0 - w) * Y + w * np.abs(X)
-            res = _residuals(problem, X)
+            res = _residuals(problem, X, norm_b)
             if observe is not None:
                 observe(X, Y, res)
             bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))

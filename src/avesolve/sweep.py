@@ -171,9 +171,12 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                     else:
                         if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
                             grow = min(2 * m, cap) - m
-                            # In place, zero-filled, with no second copy; refcheck raises if a view is alive.
-                            V.resize((len(V) + grow, n))
-                            Q.resize((len(Q) + grow, n))
+                            # In place, zero-filled, with no second copy. No view of V or Q is alive here:
+                            # every slice of them is an argument or operand that its statement drops, and
+                            # what it yields (h, z_perp, a matvec, a product) is a new array. refcheck is
+                            # off because it counts references, and a profiler's c_call event holds one.
+                            V.resize((len(V) + grow, n), refcheck=False)
+                            Q.resize((len(Q) + grow, n), refcheck=False)
                             H, R = (np.pad(X, (0, grow)) for X in (H, R))  # resize cannot grow both axes
                         H[m, m - 1], V[m] = norm, z_perp / norm
                         m += 1

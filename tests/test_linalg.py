@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import avesolve
 from avesolve import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -595,3 +602,37 @@ class TestInvNormBound:
         bound = linalg.inv_norm_bound(A)
         assert bound is None or bound >= (1 - 1e-9) * dense_inv_norm(A)
 
+
+# Entries of magnitude 0 or in [2^-400, 2^400]: no product overflows or underflows.
+_dot_vectors = st.integers(0, 300).flatmap(lambda n: st.tuples(*[
+    hnp.arrays(np.float64, n, elements=st.floats(-2.0**400, 2.0**400)).map(
+        lambda a: np.where(np.abs(a) < 2.0**-400, 0.0, a))] * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dot_vectors)
+def test_dot_within_summation_bound(uv):
+    u, v = uv
+    exact = math.fsum(u * v)
+    assert abs(linalg._dot(u, v) - exact) <= len(u) * np.finfo(np.float64).eps * math.fsum(np.abs(u * v))
+
+
+_NU_REPR = """
+from avesolve import estimate_inv_norm, gen_lattice
+from conftest import trefethen_b
+print(repr(estimate_inv_norm(gen_lattice(32).A)), repr(estimate_inv_norm(trefethen_b(200))))
+"""
+
+
+def test_nu_bits_independent_of_blas_threads():
+    # Every inner product and norm of the estimate is a linalg._dot, not a BLAS call whose summation order
+    # depends on the thread count; OPENBLAS_NUM_THREADS takes effect only in a fresh process.
+    src = str(Path(avesolve.__file__).parents[1])
+    tests = str(Path(__file__).parent)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, tests]))
+        run = subprocess.run([sys.executable, "-c", _NU_REPR], capture_output=True, text=True, timeout=300,
+                             env=env, check=True)
+        out.append(run.stdout)
+    assert out[0] and out[0] == out[1]

@@ -18,6 +18,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
+from avesolve import solvers
 from conftest import check_contraction_envelope, dense_inv_norm, random_ave_problems, random_spd, run_iterates
 
 
@@ -50,6 +51,17 @@ class TestResidual:
         A = SparseSpdMatrix.from_dense(2.0 * np.eye(2))
         p = build_rhs(A, np.array([-1.0, 1.0]))
         assert residual(p, np.array([-1.0, 1.0])) == 0.0
+
+    def test_zero_b_raises(self):
+        # x* = 0 gives b = A x* - |x*| = 0, for which the relative residual is undefined.
+        A = SparseSpdMatrix.from_dense(2.0 * np.eye(2))
+        p = build_rhs(A, np.zeros(2))
+        zeros = np.zeros(2)
+        with pytest.raises(DomainError, match="b = 0"):
+            residual(p, zeros)
+        for method in ("sor", "fpi"):
+            with pytest.raises(DomainError, match="b = 0"):
+                solvers.iterate_block(p, factorize(A), method, [1.0], 1e-8, 10, zeros, zeros)
 
 
 class TestSolveConfig:

@@ -1,3 +1,5 @@
+import cProfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,22 @@ def test_default_grid():
     grid = default_grid()
     assert len(grid) == 1999
     assert grid[0] == 0.001 and grid[-1] == 1.999
+
+
+def test_sweep_under_profiler(lattice8):
+    # A profiler's c_call event holds a reference to the array whose bound method it reports (V.resize),
+    # so the Krylov basis must grow without counting references; lattice 8 grows it from 1 to 64 vectors.
+    p, f = lattice8
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        fpi, sor = grid_argmin(p, "fpi", f=f), grid_argmin(p, "sor", f=f)
+        table = grid_search(p, "fpi", f=f)
+    finally:
+        profiler.disable()
+    assert (round(fpi[0], 3), fpi[1]) == (0.961, 11)
+    assert (round(sor[0], 3), sor[1]) == (0.981, 11)
+    assert np.array_equal(table.iterations, grid_search(p, "fpi", f=f).iterations)
 
 
 class TestGridSearch:
