@@ -157,8 +157,9 @@ def _param(spec, problem, f, method, args) -> float | None:
 
 
 def _run(problem, f, method, param, args, repeats=1) -> dict:
-    """Solve at param (None: no parameter): the record `solve` prints, with cpu averaged over repeats."""
-    failed = {"param": param, "it": "-", "cpu": math.nan, "res": math.nan, "converged": False}
+    """Solve at param (None: no parameter): the record `solve` prints, with cpu averaged over repeats and
+    res_history the RES after each update ([] when no solve ran)."""
+    failed = {"param": param, "it": "-", "cpu": math.nan, "res": math.nan, "converged": False, "res_history": []}
     if param is None:
         return {**failed, "param": "-", "note": "no grid point converged"}
     solver = solve_sor_like if method == "sor" else solve_fpi
@@ -168,9 +169,10 @@ def _run(problem, f, method, param, args, repeats=1) -> dict:
         report = solver(problem, f, cfg)
     cpu = (time.perf_counter() - t0) / repeats
     if report.diverged:
-        return {**failed, "note": f"non-finite iterate at iteration {report.iterations}"}
+        return {**failed, "res_history": report.res_history,
+                "note": f"non-finite iterate at iteration {report.iterations}"}
     return {"param": param, "it": str(report.iterations) if report.converged else "-", "cpu": cpu,
-            "res": report.final_res, "converged": report.converged}
+            "res": report.final_res, "converged": report.converged, "res_history": report.res_history}
 
 
 def cmd_solve(args) -> int:

@@ -8,17 +8,17 @@ grid point's count is taken from it only where a stated rounding margin
 certifies that the direct iteration stops at the same step. Every other grid
 point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
-multi-RHS factor-solve per step. Both paths take the grid in chunks of
-consecutive points (:func:`_chunks`), sized by BLOCK_BYTES. Two searches
-share this:
+multi-RHS factor-solve per step, in chunks of consecutive points
+(:func:`_chunks`) sized by BLOCK_BYTES. The Krylov pass runs every grid point
+at once. Two searches share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
-  count, the same one grid_search finds. Both paths visit the chunk next
-  to the analytical optimum 1 first, then the others by distance from it.
-  The Krylov path stops at k*, the least step at which a certified column
-  converges. A direct chunk then runs at most k* steps if it starts before
+  count, the same one grid_search finds. The Krylov pass stops at k*, the
+  least step at which a certified column converges. The direct path visits
+  the chunk next to the analytical optimum 1 first, then the others by
+  distance from it. A direct chunk runs at most k* steps if it starts before
   the grid point attaining k* (it can still tie and win on index), at most
   k* - 1 if it starts after it, and not at all when that is 0.
 
@@ -52,14 +52,14 @@ class SweepResult:
     sentinel: int
 
 
-# Columns are run in chunks small enough that one n x chunk block of iterates stays below this many bytes
-# (one column when a single one is larger). A step keeps about ten such blocks alive, so this bounds the
+# Direct columns are run in chunks small enough that one n x chunk block of iterates stays below this many
+# bytes (one column when a single one is larger). A step keeps about ten such blocks alive, so this bounds the
 # memory a sweep adds; on lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast. The
-# Krylov path chunks its coefficient rows by the same bound; its basis holds the vectors its columns need.
+# Krylov pass forms its iterates x_k = V c_k for the sign check in pieces of the same bound.
 BLOCK_BYTES = 128 * 2**10
 
-# The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the chunk of grid
-# points nearest it first.
+# The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the direct chunk of
+# grid points nearest it first.
 PAPER_OPTIMUM = 1.0
 
 _EPS = np.finfo(np.float64).eps
@@ -69,8 +69,8 @@ _HEADROOM = _EPS * np.finfo(np.float64).max
 
 
 def _chunks(grid: np.ndarray, rows: int, argmin: bool) -> list[np.ndarray]:
-    """Index runs of up to ``rows`` consecutive grid points, in grid order or, with ``argmin``, the run
-    holding the point nearest PAPER_OPTIMUM first, then the others by distance from it."""
+    """Index runs of up to ``rows`` consecutive grid points for the direct path, in grid order or, with
+    ``argmin``, the run holding the point nearest PAPER_OPTIMUM first, then the others by distance from it."""
     starts = range(0, len(grid), rows)
     if argmin and len(grid):
         home = int(np.argmin(np.abs(grid - PAPER_OPTIMUM))) // rows * rows
@@ -117,10 +117,10 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
-    then beat it on count. The grid runs in chunks (:func:`_chunks`) of rows whose coefficients
-    fill one block of BLOCK_BYTES, so that with ``argmin`` later chunks stop at the k* found so far;
-    the sign check forms the iterates x_k = V c_k one block at a time. The basis doubles when full, so
-    it holds fewer than twice as many vectors as the slowest column has taken steps, never k_max x n.
+    then beat it on count. All p grid points advance in one p x width block of coefficient rows,
+    width <= min(k_max, n): never more than p / n times the basis V it multiplies. The sign check forms
+    the iterates x_k = V c_k in pieces of BLOCK_BYTES. The basis doubles when full, so it holds fewer
+    than twice as many vectors as the slowest column has taken steps, never k_max x n.
     Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
     is for :func:`avesolve.solvers.iterate_block` to run.
     """
@@ -153,58 +153,53 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     add_residual_column(1)
     m, invariant = 1, False
-    rows = max(1, BLOCK_BYTES // (8 * (cap + 1)))  # coefficient rows per chunk
     sign_rows = max(1, BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
-    last = k_max  # with argmin, the least certified count found so far
     sor = method == "sor"
+    cols, w = np.arange(p), grid[:, None]
+    C = G = np.zeros((p, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols in _chunks(grid, rows, argmin):
-            w = grid[cols, None]
-            C = G = np.zeros((len(cols), 1))
-            for k in range(1, last + 1):
-                if m < k and not invariant:
-                    z = f.solve(d * V[m - 1])
-                    h, z_perp, norm = _orthogonalize(V[:m], z)
-                    H[:m, m - 1] = h
-                    if m == n or norm <= m * _EPS * np.linalg.norm(z):
-                        invariant = True
-                    else:
-                        if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
-                            grow = min(2 * m, cap) - m
-                            # In place, zero-filled, with no second copy. No view of V or Q is alive here:
-                            # every slice of them is an argument or operand that its statement drops, and
-                            # what it yields (h, z_perp, a matvec, a product) is a new array. refcheck is
-                            # off because it counts references, and a profiler's c_call event holds one.
-                            V.resize((len(V) + grow, n), refcheck=False)
-                            Q.resize((len(Q) + grow, n), refcheck=False)
-                            H, R = (np.pad(X, (0, grow)) for X in (H, R))  # resize cannot grow both axes
-                        H[m, m - 1], V[m] = norm, z_perp / norm
-                        m += 1
-                        add_residual_column(m)
-                width = min(k, m)
-                S = G @ H[:width, :G.shape[1]].T
-                S[:, 0] += beta
-                if C.shape[1] < width:  # one more basis vector: widen the coefficient rows with zeros
-                    C, G = (np.hstack([X, np.zeros((len(X), width - X.shape[1]))]) for X in (C, G))
-                C = (1.0 - w) * C + w * S if sor else S
-                G = (1.0 - w) * G + w * C
-                norm_x = np.linalg.norm(C, axis=1)
-                margin = k * scale * ((norm_A + 1.0) * norm_x + norm_b)
-                res = np.linalg.norm(C @ R[:width + 1, 1:width + 1].T - R[:width + 1, 0], axis=1) / norm_b
-                ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
-                ok &= np.abs(res - tol) * norm_b > margin
-                ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:width]) * d, axis=1)
-                                      for i in range(0, len(C), sign_rows)]) > margin
-                good = ok & (res <= tol)
-                its[cols[good]] = k
-                if argmin and good.any():
-                    last = k
-                done = ok if k == last else good
-                certified[cols[done]] = True
-                keep = ok & ~done
-                if not keep.any():
-                    break
-                cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
+        for k in range(1, k_max + 1):
+            if m < k and not invariant:
+                z = f.solve(d * V[m - 1])
+                h, z_perp, norm = _orthogonalize(V[:m], z)
+                H[:m, m - 1] = h
+                if m == n or norm <= m * _EPS * np.linalg.norm(z):
+                    invariant = True
+                else:
+                    if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
+                        grow = min(2 * m, cap) - m
+                        # In place, zero-filled, with no second copy. No view of V or Q is alive here:
+                        # every slice of them is an argument or operand that its statement drops, and
+                        # what it yields (h, z_perp, a matvec, a product) is a new array. refcheck is
+                        # off because it counts references, and a profiler's c_call event holds one.
+                        V.resize((len(V) + grow, n), refcheck=False)
+                        Q.resize((len(Q) + grow, n), refcheck=False)
+                        H, R = (np.pad(X, (0, grow)) for X in (H, R))  # resize cannot grow both axes
+                    H[m, m - 1], V[m] = norm, z_perp / norm
+                    m += 1
+                    add_residual_column(m)
+            width = min(k, m)
+            S = G @ H[:width, :G.shape[1]].T
+            S[:, 0] += beta
+            if C.shape[1] < width:  # one more basis vector: widen the coefficient rows with zeros
+                C, G = (np.hstack([X, np.zeros((len(X), width - X.shape[1]))]) for X in (C, G))
+            C = (1.0 - w) * C + w * S if sor else S
+            G = (1.0 - w) * G + w * C
+            norm_x = np.linalg.norm(C, axis=1)
+            margin = k * scale * ((norm_A + 1.0) * norm_x + norm_b)
+            res = np.linalg.norm(C @ R[:width + 1, 1:width + 1].T - R[:width + 1, 0], axis=1) / norm_b
+            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
+            ok &= np.abs(res - tol) * norm_b > margin
+            ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:width]) * d, axis=1)
+                                  for i in range(0, len(C), sign_rows)]) > margin
+            good = ok & (res <= tol)
+            its[cols[good]] = k
+            done = ok if k == k_max or (argmin and good.any()) else good
+            certified[cols[done]] = True
+            keep = ok & ~done
+            if not keep.any():
+                break
+            cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
     return its, certified
 
 

@@ -75,7 +75,7 @@ class TestSolve:
             assert out.startswith("param -  IT -  ")
         else:
             rec = strict_json(out)
-            assert (rec["param"], rec["it"], rec["converged"]) == ("-", "-", False)
+            assert (rec["param"], rec["it"], rec["converged"], rec["res_history"]) == ("-", "-", False, [])
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_sweep_without_converged_point_exit_2(self, capsys, fmt):
@@ -95,6 +95,14 @@ class TestSolve:
                     "--format", "json")
         rec = json.loads(r.stdout)
         assert rec["converged"] is True
+
+    def test_json_res_history(self, capsys):
+        # The RES after each update; csv keeps the four solve columns.
+        rc, out = run_main(capsys, "solve", "--lattice", "8", "--method", "sor", "--format", "json")
+        rec = strict_json(out)
+        assert rc == 0 and len(rec["res_history"]) == 11 and rec["res_history"][-1] == rec["res"]
+        rc, out = run_main(capsys, "solve", "--lattice", "8", "--method", "sor", "--format", "csv")
+        assert out.splitlines()[0] == "param,it,cpu,res"
 
     @pytest.mark.parametrize("flag", ["--param", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -354,6 +362,7 @@ class TestStrictJson:
         assert rc == 2
         rec = strict_json(out)
         assert rec["cpu"] is None and rec["res"] is None and rec["converged"] is False
+        assert len(rec["res_history"]) == 42 and rec["res_history"][-1] is None
 
     def test_curves_empty_legacy_range_is_null(self, capsys):
         rc, out = run_main(capsys, "curves", "--format", "json")

@@ -204,7 +204,9 @@ def _direct_counts(problem, f, method, grid, tol=1e-8, k_max=100):
 def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, k_max, chunk_columns):
     # A zero component of x* leaves the sign pattern unsettled (fallback columns); n <= 6 makes the
     # Krylov basis break down into an invariant space; 1e4 overflows. grid_argmin equals the best of
-    # the direct counts, and so the best point of grid_search.
+    # the direct counts, and so the best point of grid_search. With argmin the Krylov pass advances every
+    # column in lockstep and stops at the first step where a certified column converges, so every count
+    # it certifies is that one k*, whatever the block size.
     f = factorize(problem.A)
     expected = np.concatenate([_direct_counts(problem, f, method, [w], tol, k_max) for w in grid])
     best = None if expected.min() > k_max else (float(grid[np.argmin(expected)]), int(expected.min()))
@@ -214,6 +216,8 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
         assert result.iterations.tolist() == expected.tolist()
         assert (result.best_param, result.min_it) == (best or (None, None))
         assert grid_argmin(problem, method, grid=grid, tol=tol, k_max=k_max, f=f) == best
+        its, certified = sweep._krylov_counts(problem, f, method, grid, tol, k_max, argmin=True)
+        assert len(set(its[certified & (its <= k_max)].tolist())) <= 1
 
 
 class TestKrylovPath:
@@ -245,8 +249,9 @@ class TestKrylovPath:
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
     def test_tiny_blocks_keep_the_basis(self, lattice8, monkeypatch, method):
-        # A 128-byte block chunks one coefficient row at a time; the basis still grows to the 11 and more
-        # steps the columns take, and the Krylov path certifies 34 (FPI) and 28 (SOR) of the 39.
+        # A 128-byte block splits the sign check into one iterate per piece and the direct path into one
+        # column per chunk; the basis still grows to the 11 and more steps the columns take, and the Krylov
+        # path certifies 34 (FPI) and 28 (SOR) of the 39.
         p, f = lattice8
         grid = np.round(np.arange(1, 40) * 0.05, 2)
         direct = _direct_counts(p, f, method, grid)
