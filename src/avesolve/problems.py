@@ -146,6 +146,8 @@ def load_matrix_market(path) -> SparseSpdMatrix:
                 raise ParseError("size line must contain integers", lineno) from None
             if nrows != ncols:
                 raise ParseError(f"matrix is not square ({nrows}x{ncols})", lineno)
+            if nrows < 1:
+                raise ParseError(f"matrix dimension must be positive ({nrows}x{ncols})", lineno)
             if nnz < nrows:  # before any storage of size n is allocated
                 raise ParseError(f"{nnz} entries cannot hold the {nrows} diagonal entries of an SPD matrix",
                                  lineno)

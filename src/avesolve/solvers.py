@@ -15,6 +15,7 @@ updates performed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,16 @@ from .problems import AveProblem
 
 
 def check_stop_rule(tol: float, k_max: int) -> None:
-    """The one stopping rule of the iterations and sweeps: tol in (0, 1), k_max at least 1.
+    """The one stopping rule of the iterations and sweeps: tol in (0, 1), k_max an integer at least 1.
 
     The nu estimate has no setting: it certifies to a fixed 1e-8 (:func:`avesolve.linalg.estimate_inv_norm`).
     """
     if not 0 < tol < 1:
         raise DomainError("tol must lie in (0, 1)")
+    try:
+        operator.index(k_max)  # an int or numpy integer; 10.5, 20.0 or inf would fail later in range()
+    except TypeError:
+        raise DomainError("k_max must be an integer") from None
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
 

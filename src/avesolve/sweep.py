@@ -88,6 +88,13 @@ def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return h, w, float(np.linalg.norm(w))
 
 
+def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """New zeros of ``shape`` with X copied into their leading corner: the one way the Krylov state grows."""
+    Y = np.zeros(shape)
+    Y[:X.shape[0], :X.shape[1]] = X
+    return Y
+
+
 def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.ndarray, tol: float, k_max: int,
                    argmin: bool) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
@@ -117,10 +124,11 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
-    then beat it on count. All p grid points advance in one p x width block of coefficient rows,
-    width <= min(k_max, n): never more than p / n times the basis V it multiplies. The sign check forms
-    the iterates x_k = V c_k in pieces of BLOCK_BYTES. The basis doubles when full, so it holds fewer
-    than twice as many vectors as the slowest column has taken steps, never k_max x n.
+    then beat it on count. The basis gains one vector per step until it is invariant (m = n at the
+    latest), so it holds m <= min(k, n) vectors, and all p grid points advance in one p x m block of
+    coefficient rows. The sign check forms x_k = V c_k in pieces of BLOCK_BYTES. :func:`_grown` doubles
+    V, H, Q and R when V is full, up to min(k_max, n) rows, and widens the rows by a zero column per new
+    vector; zeros are calloc'd, so V costs memory only for the vectors built, never k_max x n.
     Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
     is for :func:`avesolve.solvers.iterate_block` to run.
     """
@@ -139,7 +147,6 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     norm_A = gershgorin_interval(A)[1]
     norm_b = float(np.linalg.norm(b))
     scale = 2 * _EPS * max(1.0, nu_bound)
-    cap = min(k_max, n)  # the most the basis needs: it grows only while m < k <= k_max, and m = n is invariant
     V, H = np.zeros((1, n)), np.zeros((1, 1))
     Q, R = np.zeros((2, n)), np.zeros((2, 2))
     V[0] = u / beta
@@ -154,7 +161,6 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     add_residual_column(1)
     m, invariant = 1, False
     sign_rows = max(1, BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
-    sor = method == "sor"
     cols, w = np.arange(p), grid[:, None]
     C = G = np.zeros((p, 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,31 +172,25 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                 if m == n or norm <= m * _EPS * np.linalg.norm(z):
                     invariant = True
                 else:
-                    if m == len(V):  # no room for one more vector: double V, H, Q and R, up to cap
-                        grow = min(2 * m, cap) - m
-                        # In place, zero-filled, with no second copy. No view of V or Q is alive here:
-                        # every slice of them is an argument or operand that its statement drops, and
-                        # what it yields (h, z_perp, a matvec, a product) is a new array. refcheck is
-                        # off because it counts references, and a profiler's c_call event holds one.
-                        V.resize((len(V) + grow, n), refcheck=False)
-                        Q.resize((len(Q) + grow, n), refcheck=False)
-                        H, R = (np.pad(X, (0, grow)) for X in (H, R))  # resize cannot grow both axes
+                    if m == len(V):  # full: double V, H, Q and R, up to the most the basis can need
+                        rows = min(2 * m, k_max, n)
+                        V, H = _grown(V, (rows, n)), _grown(H, (rows, rows))
+                        Q, R = _grown(Q, (rows + 1, n)), _grown(R, (rows + 1, rows + 1))
                     H[m, m - 1], V[m] = norm, z_perp / norm
                     m += 1
                     add_residual_column(m)
-            width = min(k, m)
-            S = G @ H[:width, :G.shape[1]].T
+            S = G @ H[:m, :G.shape[1]].T
             S[:, 0] += beta
-            if C.shape[1] < width:  # one more basis vector: widen the coefficient rows with zeros
-                C, G = (np.hstack([X, np.zeros((len(X), width - X.shape[1]))]) for X in (C, G))
-            C = (1.0 - w) * C + w * S if sor else S
+            if C.shape[1] < m:  # one more basis vector: widen the coefficient rows by a zero column
+                C, G = _grown(C, (len(C), m)), _grown(G, (len(G), m))
+            C = (1.0 - w) * C + w * S if method == "sor" else S
             G = (1.0 - w) * G + w * C
             norm_x = np.linalg.norm(C, axis=1)
             margin = k * scale * ((norm_A + 1.0) * norm_x + norm_b)
-            res = np.linalg.norm(C @ R[:width + 1, 1:width + 1].T - R[:width + 1, 0], axis=1) / norm_b
+            res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
             ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
             ok &= np.abs(res - tol) * norm_b > margin
-            ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:width]) * d, axis=1)
+            ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:m]) * d, axis=1)
                                   for i in range(0, len(C), sign_rows)]) > margin
             good = ok & (res <= tol)
             its[cols[good]] = k

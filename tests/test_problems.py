@@ -218,6 +218,14 @@ class TestMatrixMarket:
             load_matrix_market(f)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("size", ["-2 -2 0", "0 0 0"])
+    def test_non_positive_dimension_rejected_at_size_line(self, tmp_path, size):
+        f = tmp_path / "empty.mtx"
+        write_lines(f, ["%%MatrixMarket matrix coordinate real symmetric", size])
+        with pytest.raises(ParseError, match="positive") as exc:
+            load_matrix_market(f)
+        assert exc.value.line_number == 2
+
     @pytest.mark.parametrize("n, nnz", [(5, 3), (10**6, 1)])
     def test_fewer_entries_than_rows_rejected_at_size_line(self, tmp_path, n, nnz):
         # An SPD matrix stores every diagonal entry; the size line alone rules the file out, before

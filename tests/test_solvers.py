@@ -69,6 +69,10 @@ class TestSolveConfig:
         with pytest.raises(DomainError):
             SolveConfig(parameter=1.0, k_max=0)
 
+    def test_rejects_non_integer_kmax(self):
+        with pytest.raises(DomainError, match="integer"):
+            SolveConfig(1.0, 1e-8, 10.5)
+
     def test_rejects_nonpositive_parameter(self):
         with pytest.raises(DomainError):
             SolveConfig(parameter=0.0)

@@ -1,4 +1,5 @@
 import cProfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ def test_default_grid():
 
 
 def test_sweep_under_profiler(lattice8):
-    # A profiler's c_call event holds a reference to the array whose bound method it reports (V.resize),
-    # so the Krylov basis must grow without counting references; lattice 8 grows it from 1 to 64 vectors.
+    # A profiler holds references to the arrays whose methods it reports, and the sweep's results must not
+    # depend on it; lattice 8 grows the Krylov basis from 1 to 64 vectors while one is enabled.
     p, f = lattice8
     profiler = cProfile.Profile()
     profiler.enable()
@@ -123,7 +124,7 @@ class TestGridSearch:
     def test_rejects_bad_stop_rule(self, lattice8):
         p, f = lattice8
         for search in (grid_search, grid_argmin):
-            for tol, k_max in ((0.0, 100), (1.0, 100), (np.nan, 100), (1e-8, 0)):
+            for tol, k_max in ((0.0, 100), (1.0, 100), (np.nan, 100), (1e-8, 0), (1e-8, 10.5), (1e-8, np.inf)):
                 with pytest.raises(DomainError):
                     search(p, "fpi", grid=np.array([1.0]), tol=tol, k_max=k_max, f=f)
 
@@ -272,6 +273,19 @@ class TestKrylovPath:
         solvers.iterate_block(p, f, method, [param], 1e-8, 100, zeros, zeros, lambda X, Y, r: res.append(r[0]))
         result = grid_search(p, method, grid=np.array([param]), tol=res[-1], f=f)
         assert result.iterations.tolist() == _direct_counts(p, f, method, [param], tol=res[-1]).tolist() == [len(res)]
+
+    def test_basis_grows_with_the_steps_taken(self):
+        # k_max = 10**6 must not size anything: a basis allocated at min(k_max, n) = 1024 rows would ask for
+        # about 32 MiB (V, Q, H and R), while growing with the 11 steps the argmin takes peaks under 2 MiB.
+        p = gen_lattice(32)
+        tracemalloc.start()
+        try:
+            best = grid_argmin(p, "fpi", k_max=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (round(best[0], 3), best[1]) == (0.968, 11)
+        assert peak < 8 * 2**20
 
     def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
         # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back. They lie after
