@@ -21,6 +21,7 @@ from .params import (
     ParamRange,
     check_kema_condition,
     chen_opt_omega,
+    fpi_least_steps,
     g_nu_sor,
     optimal_fpi,
     optimal_sor,

@@ -36,6 +36,12 @@ def _check_nu(nu: float) -> None:
         raise DomainError(f"nu = {nu} outside (0, 1); the sufficient theory does not apply")
 
 
+def _check_positive(names: str, *values: float) -> None:
+    """DomainError unless every value is positive and finite; NaN and inf are no parameters."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise DomainError(f"{names} must be positive and finite")
+
+
 def range_sor_new(nu: float) -> ParamRange:
     """Admissible omega for the SOR-like iteration: (0, (2 - 2*sqrt(nu)) / (1 - nu))."""
     _check_nu(nu)
@@ -59,8 +65,7 @@ def range_fpi_old(nu: float) -> ParamRange:
 
 def check_kema_condition(omega: float, nu: float) -> bool:
     """Legacy sufficient condition for the SOR-like iteration (quartic in |1-omega|)."""
-    if omega <= 0 or nu <= 0:
-        raise DomainError("omega and nu must be positive")
+    _check_positive("omega and nu", omega, nu)
     if not omega < 2.0:
         return False
     a = abs(1.0 - omega)
@@ -75,8 +80,7 @@ def rho_W(omega: float, nu: float) -> float:
 
 def g_nu_sor(omega: float, nu: float) -> float:
     """2 * rho(W) as a function of omega; minimized at omega = 1."""
-    if omega <= 0 or nu <= 0:
-        raise DomainError("omega and nu must be positive")
+    _check_positive("omega and nu", omega, nu)
     a = abs(1.0 - omega)
     # 4*a*nu + (w*nu)^2 >= 0 for all inputs, so no case split is needed.
     return 2.0 * a + omega * omega * nu + omega * math.sqrt(4.0 * a * nu + omega * omega * nu * nu)
@@ -84,9 +88,37 @@ def g_nu_sor(omega: float, nu: float) -> float:
 
 def rho_U(tau: float, nu: float) -> float:
     """Spectral radius of the triangular U: tau*nu + |1 - tau|."""
-    if tau <= 0 or nu <= 0:
-        raise DomainError("tau and nu must be positive")
+    _check_positive("tau and nu", tau, nu)
     return tau * nu + abs(1.0 - tau)
+
+
+def fpi_least_steps(tau: float, nu: float, res_1: float, tol: float) -> float:
+    """k_low: the least step k at which FPI's RES, from zero start vectors, can reach tol; inf if never.
+
+    The paper's 2x2 argument run the other way. With e^y_k = y_k - |x*|, A e^x_k = e^y_{k-1} and
+    ||(|x_k| - |x*|)|| <= ||e^x_k|| <= nu ||e^y_{k-1}||, so
+    ||e^y_k|| = ||(1 - tau) e^y_{k-1} + tau (|x_k| - |x*|)|| >= c ||e^y_{k-1}||, c = |1 - tau| - tau nu,
+    and the residual r_k = e^y_{k-1} - (|x_k| - |x*|) has (1 - nu) ||e^y_{k-1}|| <= ||r_k|| <= (1 + nu) ||e^y_{k-1}||.
+    From k = 1 (e^y_0 = -|x*|, x_1 = A^{-1} b, RES_1 = ||A^{-1} b|| / ||b||), while c >= 0:
+
+        RES_k >= (1 - nu) / (1 + nu) * c^(k-1) * RES_1.
+
+    Both factors fall as nu grows, so an upper bound on nu keeps the floor valid. Returns the least k
+    at which this floor is at most tol (inf when c >= 1 and it never falls to tol), less a relative 1e-9
+    on the logarithms so that their rounding never raises it. nu must lie in (0, 1).
+    """
+    _check_positive("tau, res_1 and tol", tau, res_1, tol)
+    _check_nu(nu)
+    floor = (1.0 - nu) / (1.0 + nu) * res_1  # at k = 1
+    c = abs(1.0 - tau) - tau * nu
+    if floor <= tol:
+        return 1
+    if c <= 0.0:
+        return 2
+    if c >= 1.0:
+        return math.inf
+    steps = math.log(tol / floor) / math.log(c)  # k - 1 at which the floor meets tol
+    return 1 + math.ceil(steps * (1.0 - 1e-9))
 
 
 def optimal_sor(nu: float) -> float:

@@ -10,7 +10,8 @@ point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
 multi-RHS factor-solve per step, in chunks of consecutive points
 (:func:`_chunks`) sized by BLOCK_BYTES. The Krylov pass runs every grid point
-at once. Two searches share this:
+at once, and forms the iterates of its sign check only where a bound from a
+neighbouring anchor column misses. Two searches share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
@@ -20,20 +21,23 @@ at once. Two searches share this:
   the chunk next to the analytical optimum 1 first, then the others by
   distance from it. A direct chunk runs at most k* steps if it starts before
   the grid point attaining k* (it can still tie and win on index), at most
-  k* - 1 if it starts after it, and not at all when that is 0.
+  k* - 1 if it starts after it, and not at all when that is 0. For FPI with
+  nu_hat < 1 it first drops the points whose RES floor
+  (:func:`avesolve.params.fpi_least_steps`) stays above tol that long.
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .linalg import FactorHandle, factorize, gershgorin_interval, inv_norm_bound, matvec
-from .params import range_fpi_new, range_fpi_old, range_sor_new
+from .params import fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
 from .problems import AveProblem
 from .solvers import check_stop_rule, iterate_block
 
@@ -57,6 +61,10 @@ class SweepResult:
 # memory a sweep adds; on lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast. The
 # Krylov pass forms its iterates x_k = V c_k for the sign check in pieces of the same bound.
 BLOCK_BYTES = 128 * 2**10
+
+# The Krylov sign check forms the iterate of one anchor column per run of this many neighbouring running
+# columns; the others pass on a bound from their anchor's iterate and are formed only where it misses.
+ANCHOR_RUN = 16
 
 # The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the direct chunk of
 # grid points nearest it first.
@@ -88,6 +96,11 @@ def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return h, w, float(np.linalg.norm(w))
 
 
+def _least_signed(C: np.ndarray, V: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
+    """min_i d_i x_i of every iterate x = c V, c a row of C, formed ``rows`` iterates at a time."""
+    return np.concatenate([np.min((C[i:i + rows] @ V) * d, axis=1) for i in range(0, len(C), rows)] or [[]])
+
+
 def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """New zeros of ``shape`` with X copied into their leading corner: the one way the Krylov state grows."""
     Y = np.zeros(shape)
@@ -95,8 +108,19 @@ def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return Y
 
 
+def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, np.ndarray | None, float | None]:
+    """(nu_hat, u = A^{-1} b, ||A||), what both the Krylov pass and the FPI floor start from: an upper bound
+    on nu (:func:`avesolve.linalg.inv_norm_bound`) and, where there is one, the solve and the Gershgorin
+    bound on ||A||; (None, None, None) without."""
+    nu_bound = inv_norm_bound(problem.A)
+    if nu_bound is None:
+        return None, None, None
+    return nu_bound, f.solve(problem.b), gershgorin_interval(problem.A)[1]
+
+
 def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.ndarray, tol: float, k_max: int,
-                   argmin: bool) -> tuple[np.ndarray, np.ndarray]:
+                   argmin: bool, start: tuple[float | None, np.ndarray | None, float | None] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
 
     While every iterate keeps the sign pattern D = diag(sign u) of u = A^{-1} b, both iterations are
@@ -126,31 +150,42 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     ``argmin``, at k*, the least step at which a certified column converges: no other column can
     then beat it on count. The basis gains one vector per step until it is invariant (m = n at the
     latest), so it holds m <= min(k, n) vectors, and all p grid points advance in one p x m block of
-    coefficient rows. The sign check forms x_k = V c_k in pieces of BLOCK_BYTES. :func:`_grown` doubles
-    V, H, Q and R when V is full, up to min(k_max, n) rows, and widens the rows by a zero column per new
-    vector; zeros are calloc'd, so V costs memory only for the vectors built, never k_max x n.
-    Returns the counts (k_max + 1 where not converged) and the certified mask; every other column
-    is for :func:`avesolve.solvers.iterate_block` to run.
+    coefficient rows. :func:`_grown` doubles V, H, Q and R when V is full, up to min(k_max, n) rows,
+    and widens the rows by a zero column per new vector; zeros are calloc'd, so V costs memory only for
+    the vectors built, never k_max x n.
+
+    The sign check forms x_k = V c_k only for the first column a of each run of ANCHOR_RUN running
+    columns (neighbouring grid points). For every i, |(x_j - x_a)_i| <= ||c_j - c_a|| ||V[:m, i]||, so a
+    column j whose bound
+
+        min_i d_i x_{a,i} - ||c_j - c_a|| max_i ||V[:m, i]|| - 4 (m + 1) eps (||c_j|| + ||c_a||)
+
+    exceeds margin_k would pass the formed check too. The last term is the rounding slack: each of the
+    two products x = c V is formed to within m eps ||c|| ||V[:m, i]|| in any summation order, with
+    ||V[:m, i]|| <= 1 for orthonormal rows, and the rest covers the bound's own norms and subtractions.
+    Only the columns that miss the bound are formed, in pieces of BLOCK_BYTES, so the certified set
+    is the one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result when the
+    caller has it. Returns the counts (k_max + 1 where not converged) and the certified mask; every
+    other column is for :func:`avesolve.solvers.iterate_block` to run.
     """
     n, b, A = problem.n, problem.b, problem.A
     p = len(grid)
     its = np.full(p, k_max + 1)
     certified = np.zeros(p, dtype=bool)
-    nu_bound = inv_norm_bound(A)
+    nu_bound, u, norm_A = _krylov_start(problem, f) if start is None else start
     if nu_bound is None:
         return its, certified
-    u = f.solve(b)
     beta = float(np.linalg.norm(u))
     if not beta > 0:
         return its, certified  # b = 0: the direct iteration reports it
     d = np.sign(u)
-    norm_A = gershgorin_interval(A)[1]
     norm_b = float(np.linalg.norm(b))
     scale = 2 * _EPS * max(1.0, nu_bound)
     V, H = np.zeros((1, n)), np.zeros((1, 1))
     Q, R = np.zeros((2, n)), np.zeros((2, 2))
     V[0] = u / beta
     Q[0], R[0, 0] = b / norm_b, norm_b
+    column_sq = V[0] ** 2  # ||V[:m, i]||^2 for every i
 
     def add_residual_column(j):
         column = matvec(A, V[j - 1]) - d * V[j - 1]
@@ -177,6 +212,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                         V, H = _grown(V, (rows, n)), _grown(H, (rows, rows))
                         Q, R = _grown(Q, (rows + 1, n)), _grown(R, (rows + 1, rows + 1))
                     H[m, m - 1], V[m] = norm, z_perp / norm
+                    column_sq += V[m] ** 2
                     m += 1
                     add_residual_column(m)
             S = G @ H[:m, :G.shape[1]].T
@@ -190,8 +226,13 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
             res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
             ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
             ok &= np.abs(res - tol) * norm_b > margin
-            ok &= np.concatenate([np.min((C[i:i + sign_rows] @ V[:m]) * d, axis=1)
-                                  for i in range(0, len(C), sign_rows)]) > margin
+            run = np.arange(len(C)) // ANCHOR_RUN
+            anchor = run * ANCHOR_RUN  # the first row of each row's run
+            bound = (_least_signed(C[::ANCHOR_RUN], V[:m], d, sign_rows)[run]
+                     - np.linalg.norm(C - C[anchor], axis=1) * np.sqrt(column_sq.max())
+                     - 4 * (m + 1) * _EPS * (norm_x + norm_x[anchor]))
+            miss = ok & ~(bound > margin)
+            ok[miss] = _least_signed(C[miss], V[:m], d, sign_rows) > margin[miss]
             good = ok & (res <= tol)
             its[cols[good]] = k
             done = ok if k == k_max or (argmin and good.any()) else good
@@ -201,6 +242,28 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                 break
             cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
     return its, certified
+
+
+def _beyond_floor(taus: np.ndarray, cap: int, tol: float, nu_bound: float, res_1: float, norm_A: float) -> np.ndarray:
+    """Mask of the FPI grid points ``taus`` whose RES stays above tol through step ``cap`` by the floor of
+    :func:`avesolve.params.fpi_least_steps`, for nu_hat = nu_bound < 1 and RES_1 = ||A^{-1} b|| / ||b||.
+
+    The floor is that of the exact iteration. Before it is compared with tol it is reduced by the direct
+    RES's rounding, taken as :func:`_krylov_counts`'s margin_cap / ||b||, with ||x_k|| bounded through
+    ||x_k|| <= ||x*|| + nu ||e^y_{k-1}|| <= (1 + nu rho^(k-1)) ||x*||, rho = max(1, rho(U)) (the paper's
+    contraction, ||e^y_k|| <= rho(U) ||e^y_{k-1}||) and ||x*|| = ||e^y_0|| <= RES_1 ||b|| / (1 - nu). A point
+    whose slack overflows is kept.
+    """
+    pruned = np.zeros(len(taus), dtype=bool)
+    for j, tau in enumerate(taus.tolist()):
+        try:
+            growth = max(1.0, rho_U(tau, nu_bound)) ** (cap - 1)
+        except OverflowError:
+            continue
+        x_over_b = (1.0 + nu_bound * growth) * res_1 / (1.0 - nu_bound)  # bound on ||x_k|| / ||b||, k <= cap
+        slack = 2 * cap * _EPS * ((norm_A + 1.0) * x_over_b + 1.0)
+        pruned[j] = math.isfinite(slack) and fpi_least_steps(tau, nu_bound, res_1, tol + slack) > cap
+    return pruned
 
 
 def _sweep(
@@ -218,6 +281,16 @@ def _sweep(
     The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, one call
     per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the k* or k* - 1 cap
     that the module docstring states.
+
+    With ``argmin``, FPI and nu_hat < 1, a chunk first drops the columns whose RES floor
+    (:func:`avesolve.params.fpi_least_steps`, less rounding: :func:`_beyond_floor`) stays above tol
+    through its cap: they cannot converge by then, so they cannot win. RES_1 = ||u|| / ||b|| comes from
+    the one solve u = A^{-1} b that the Krylov pass starts from. A full table prunes nothing: it needs
+    every count. SOR gets no such floor. RES sees only x, and the SOR error
+    e^x_k = (1 - w) e^x_{k-1} + w A^{-1} e^y_{k-1} can vanish while e^y_k does not, so no bound on
+    ||(e^x, e^y)|| alone keeps RES_k above tol (the triangle inequality gives a negative rate,
+    |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25). The SOR fallback columns (573 at
+    lattice 8, w >= 1.427, RES 0.4 to 6.6 through step 12) stay in the direct path.
     """
     if method not in ("sor", "fpi"):
         raise DomainError(f"unknown method '{method}'")
@@ -230,8 +303,13 @@ def _sweep(
     if f is None:
         f = factorize(problem.A)
     sentinel = k_max + 1
-    its, certified = _krylov_counts(problem, f, method, grid, tol, k_max, argmin)
+    start = _krylov_start(problem, f)
+    its, certified = _krylov_counts(problem, f, method, grid, tol, k_max, argmin, start)
     rest = np.flatnonzero(~certified)
+    nu_bound, u, norm_A = start
+    prune = argmin and method == "fpi" and len(rest) > 0 and nu_bound is not None and nu_bound < 1 and u.any()
+    if prune:  # u = 0 only for b = 0, which the direct iteration reports
+        res_1 = float(np.linalg.norm(u) / np.linalg.norm(problem.b))
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n)), argmin):
         cols = rest[chunk]
@@ -239,7 +317,9 @@ def _sweep(
         if argmin:
             best = int(np.argmin(its))  # k* = its[best], the least count so far
             last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)
-        if last > 0:
+        if prune and last > 0:
+            cols = cols[~_beyond_floor(grid[cols], last, tol, nu_bound, res_1, norm_A)]
+        if last > 0 and len(cols):
             stops = iterate_block(problem, f, method, grid[cols], tol, last, zeros, zeros)
             its[cols] = np.where(stops.converged, stops.iterations, sentinel)
     best = int(np.argmin(its))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from avesolve import (
@@ -10,6 +10,7 @@ from avesolve import (
     ParamEnvelope,
     check_kema_condition,
     chen_opt_omega,
+    fpi_least_steps,
     g_nu_sor,
     optimal_fpi,
     optimal_sor,
@@ -93,6 +94,56 @@ class TestKemaCondition:
 
     def test_large_nu_false(self):
         assert not check_kema_condition(1.0, 0.8)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fn", [rho_U, rho_W, g_nu_sor, check_kema_condition])
+    @pytest.mark.parametrize("position", [0, 1], ids=["param", "nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_radii_and_kema_reject(self, fn, position, bad):
+        args = [1.0, 0.25]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            fn(*args)
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 3], ids=["tau", "nu", "res_1", "tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_fpi_least_steps_rejects(self, position, bad):
+        args = [1.9, 0.25, 0.13, 1e-8]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            fpi_least_steps(*args)
+
+
+def fpi_floor(tau, nu, res_1, k):
+    """(1 - nu) / (1 + nu) c^(k-1) RES_1, c = |1 - tau| - tau nu: the floor fpi_least_steps inverts (c >= 0)."""
+    return (1 - nu) / (1 + nu) * (abs(1 - tau) - tau * nu) ** (k - 1) * res_1
+
+
+class TestFpiLeastSteps:
+    def test_lattice8_fallback_columns(self):
+        # nu_hat = 0.25 (Gershgorin) and RES_1 = 0.1268 on lattice 8: the FPI argmin's fallback columns,
+        # tau >= 1.86, cannot converge before step 19, long after k* = 11.
+        steps = [fpi_least_steps(tau, 0.25, 0.1268, 1e-8) for tau in np.round(np.arange(1860, 2000) * 0.001, 3)]
+        assert min(steps) == 19 and max(steps) == 24
+
+    def test_edges(self):
+        assert fpi_least_steps(1.9, 0.25, 1e-9, 1e-8) == 1  # RES_1 is already below tol
+        assert fpi_least_steps(1.0, 0.25, 0.13, 1e-8) == 2  # c = -0.25: no floor after step 1
+        assert fpi_least_steps(1e4, 0.25, 0.13, 1e-8) == math.inf  # c >= 1: the floor never falls
+        with pytest.raises(DomainError):
+            fpi_least_steps(1.9, 1.0, 0.13, 1e-8)  # no floor without nu < 1
+
+    @given(st.floats(0.01, 2.5), st.floats(0.01, 0.99), st.floats(1e-3, 10.0), st.floats(1e-12, 1e-2))
+    @example(1.86, 0.25, 0.1268, 1e-8)
+    def test_least_step_of_the_floor(self, tau, nu, res_1, tol):
+        # The returned step has the floor at most tol; the step before, if any, has it above tol, up to
+        # the relative 1e-9 by which the logarithms are shaved.
+        k = fpi_least_steps(tau, nu, res_1, tol)
+        assume(k <= 10_000)
+        assert fpi_floor(tau, nu, res_1, k) <= tol * (1 + 1e-6)
+        if k > 1:
+            assert fpi_floor(tau, nu, res_1, k - 1) > tol * (1 - 1e-6)
 
 
 class TestSpectralRadii:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avesolve import (
@@ -15,6 +15,7 @@ from avesolve import (
     domain_curves,
     estimate_inv_norm,
     factorize,
+    fpi_least_steps,
     gen_lattice,
     grid_argmin,
     grid_search,
@@ -160,8 +161,8 @@ class TestGridArgmin:
                              ids=["fpi", "sor", "fpi-direct", "sor-direct"])
     def test_lattice8_stops_early(self, lattice8, monkeypatch, method, direct):
         # Running every grid point to its end takes 106k (FPI) and 132k (SOR) column-steps. The Krylov
-        # path takes about 1.4k and 5.7k; without it (no bound on nu, so no column certified), the
-        # capped direct chunks take about 22k.
+        # path takes 11 (its fallback columns dropped by their RES floor) and about 5.7k; without it (no
+        # bound on nu, so no column certified and no floor), the capped direct chunks take about 22k.
         p, f = lattice8
         if direct:
             monkeypatch.setattr(sweep, "inv_norm_bound", lambda A: None)
@@ -221,6 +222,45 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
         assert len(set(its[certified & (its <= k_max)].tolist())) <= 1
 
 
+def _lattice8_scaled():
+    """0.1 x the lattice 8 matrix with its alternating solution: nu = 2.36, bounded by 1/lo = 2.5."""
+    A = linalg.SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)
+    return build_rhs(A, alternating_xstar(A.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ave_problems(), ascending_grids, st.floats(1e-10, 1e-2), st.integers(1, 40))
+@example(gen_lattice(8), default_grid(), 1e-8, 100)
+@example(_lattice8_scaled(), default_grid(), 1e-8, 100)
+def test_fpi_floor_prunes_no_converging_column(problem, grid, tol, k_max):
+    # k_low (params.fpi_least_steps, at nu_hat and RES_1 = ||A^{-1} b|| / ||b|| as the sweep takes them) is at
+    # most the direct count of every column that converges, and every column the argmin drops runs past the
+    # steps its chunk may take. With nu_hat missing or >= 1 (lattice 8 x 0.1: nu_hat = 2.5) nothing is dropped.
+    f = factorize(problem.A)
+    direct = dict(zip(grid.tolist(), _direct_counts(problem, f, "fpi", grid, tol, k_max).tolist()))
+    nu_bound, u, _ = sweep._krylov_start(problem, f)
+    floor = nu_bound is not None and nu_bound < 1
+    if floor:
+        res_1 = np.linalg.norm(u) / np.linalg.norm(problem.b)
+        for tau, count in direct.items():
+            if count <= k_max:
+                assert fpi_least_steps(tau, nu_bound, res_1, tol) <= count
+    dropped, beyond_floor = [], sweep._beyond_floor
+
+    def spy(taus, cap, *args):
+        pruned = beyond_floor(taus, cap, *args)
+        dropped.extend((tau, cap) for tau in taus[pruned].tolist())
+        return pruned
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_beyond_floor", spy)
+        best = grid_argmin(problem, "fpi", grid=grid, tol=tol, k_max=k_max, f=f)
+    counts = np.array(list(direct.values()))
+    assert best == (None if counts.min() > k_max else (float(grid[np.argmin(counts)]), int(counts.min())))
+    assert all(direct[tau] > cap for tau, cap in dropped)
+    assert floor or not dropped
+
+
 class TestKrylovPath:
     # Certified: 1717 (FPI) and 1414 (SOR) on lattice 8, 1447 and 1233 on Trefethen_200b, 301 and 640 on
     # lattice 8 x 0.1 (nu = 2.36 > 1, bounded by 1/lo = 2.5, which widens the margins), where 468 and
@@ -233,9 +273,8 @@ class TestKrylovPath:
             return gen_lattice(8), least_certified
         if name == "tref200b":
             A = request.getfixturevalue("tref200b")
-        else:
-            A = linalg.SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)
-        return build_rhs(A, alternating_xstar(A.n)), least_certified
+            return build_rhs(A, alternating_xstar(A.n)), least_certified
+        return _lattice8_scaled(), least_certified
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
     def test_all_counts_match_direct_iteration(self, problem, method):
@@ -247,6 +286,20 @@ class TestKrylovPath:
         assert certified.sum() > least_certified and (direct[certified] <= 100).any()
         assert its[certified].tolist() == direct[certified].tolist()
         assert grid_search(problem, method, grid=grid, f=f).iterations.tolist() == direct.tolist()
+
+    @pytest.mark.parametrize("method", ["fpi", "sor"])
+    @pytest.mark.parametrize("argmin", [False, True], ids=["table", "argmin"])
+    def test_anchor_bound_changes_no_count(self, problem, monkeypatch, method, argmin):
+        # With runs of one column every iterate is formed, as the anchor of its own run; the default runs
+        # form about one in 16. The bound passes a column only where the formed check would, so both
+        # certify the same columns with the same counts.
+        problem, _ = problem
+        f = factorize(problem.A)
+        grid = default_grid()
+        its, certified = sweep._krylov_counts(problem, f, method, grid, 1e-8, 100, argmin)
+        monkeypatch.setattr(sweep, "ANCHOR_RUN", 1)
+        formed_its, formed_certified = sweep._krylov_counts(problem, f, method, grid, 1e-8, 100, argmin)
+        assert its.tolist() == formed_its.tolist() and certified.tolist() == formed_certified.tolist()
 
     @pytest.mark.parametrize("method", ["fpi", "sor"])
     def test_tiny_blocks_keep_the_basis(self, lattice8, monkeypatch, method):
@@ -289,8 +342,9 @@ class TestKrylovPath:
 
     def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
         # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back. They lie after
-        # the grid point of k* = 11, the least count found, so they stop at k* - 1 = 10 steps each. The
-        # direct iteration alone takes about 21 000 factor-solve columns.
+        # the grid point of k* = 11, the least count found, so they may run k* - 1 = 10 steps each, but their
+        # RES floor (params.fpi_least_steps) stays above tol until step 19 to 24, so none runs. Without the
+        # floor they take 1 400 factor-solve columns; the direct iteration alone takes about 21 000.
         p, f = lattice8
         columns = []
         solve = linalg.FactorHandle.solve
@@ -301,7 +355,7 @@ class TestKrylovPath:
 
         monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
         assert grid_argmin(p, "fpi", f=f) == (0.961, 11)
-        assert sum(columns) < 3_000
+        assert sum(columns) < 100
 
 
 class TestDomainCurves:
