@@ -118,8 +118,14 @@ def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, n
     return nu_bound, f.solve(problem.b), gershgorin_interval(problem.A)[1]
 
 
+def _margin(k: int, nu_bound: float, norm_A: float, norm_x: float | np.ndarray, norm_b: float) -> float | np.ndarray:
+    """margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), nu_hat = max(1, nu_bound): how far rounding may
+    move the direct iterate and its residual from the exact ones after k steps (:func:`_krylov_counts`)."""
+    return k * (2 * _EPS * max(1.0, nu_bound)) * ((norm_A + 1.0) * norm_x + norm_b)
+
+
 def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.ndarray, tol: float, k_max: int,
-                   argmin: bool, start: tuple[float | None, np.ndarray | None, float | None] | None = None,
+                   argmin: bool, start: tuple[float | None, np.ndarray | None, float | None],
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
 
@@ -134,7 +140,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     RES_k = ||R [-1; c_k]|| / ||b||, with Q R = [b, (A - D) V] grown one column per step. A basis
     that stops growing spans an invariant space, in which H is exact and the iteration goes on.
 
-    The direct iterate and its RES differ from these by rounding, at most about
+    The direct iterate and its RES differ from these by rounding, at most about :func:`_margin`'s
     margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound and nu_hat
     the larger of 1 and an upper bound on nu = ||A^{-1}|| (:func:`avesolve.linalg.inv_norm_bound`):
     each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||, and the
@@ -164,15 +170,15 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     two products x = c V is formed to within m eps ||c|| ||V[:m, i]|| in any summation order, with
     ||V[:m, i]|| <= 1 for orthonormal rows, and the rest covers the bound's own norms and subtractions.
     Only the columns that miss the bound are formed, in pieces of BLOCK_BYTES, so the certified set
-    is the one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result when the
-    caller has it. Returns the counts (k_max + 1 where not converged) and the certified mask; every
-    other column is for :func:`avesolve.solvers.iterate_block` to run.
+    is the one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result. Returns the
+    counts (k_max + 1 where not converged) and the certified mask; every other column is for
+    :func:`avesolve.solvers.iterate_block` to run.
     """
     n, b, A = problem.n, problem.b, problem.A
     p = len(grid)
     its = np.full(p, k_max + 1)
     certified = np.zeros(p, dtype=bool)
-    nu_bound, u, norm_A = _krylov_start(problem, f) if start is None else start
+    nu_bound, u, norm_A = start
     if nu_bound is None:
         return its, certified
     beta = float(np.linalg.norm(u))
@@ -180,7 +186,6 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
         return its, certified  # b = 0: the direct iteration reports it
     d = np.sign(u)
     norm_b = float(np.linalg.norm(b))
-    scale = 2 * _EPS * max(1.0, nu_bound)
     V, H = np.zeros((1, n)), np.zeros((1, 1))
     Q, R = np.zeros((2, n)), np.zeros((2, 2))
     V[0] = u / beta
@@ -222,7 +227,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
             C = (1.0 - w) * C + w * S if method == "sor" else S
             G = (1.0 - w) * G + w * C
             norm_x = np.linalg.norm(C, axis=1)
-            margin = k * scale * ((norm_A + 1.0) * norm_x + norm_b)
+            margin = _margin(k, nu_bound, norm_A, norm_x, norm_b)
             res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
             ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
             ok &= np.abs(res - tol) * norm_b > margin
@@ -249,10 +254,10 @@ def _beyond_floor(taus: np.ndarray, cap: int, tol: float, nu_bound: float, res_1
     :func:`avesolve.params.fpi_least_steps`, for nu_hat = nu_bound < 1 and RES_1 = ||A^{-1} b|| / ||b||.
 
     The floor is that of the exact iteration. Before it is compared with tol it is reduced by the direct
-    RES's rounding, taken as :func:`_krylov_counts`'s margin_cap / ||b||, with ||x_k|| bounded through
-    ||x_k|| <= ||x*|| + nu ||e^y_{k-1}|| <= (1 + nu rho^(k-1)) ||x*||, rho = max(1, rho(U)) (the paper's
-    contraction, ||e^y_k|| <= rho(U) ||e^y_{k-1}||) and ||x*|| = ||e^y_0|| <= RES_1 ||b|| / (1 - nu). A point
-    whose slack overflows is kept.
+    RES's rounding, margin_cap / ||b|| (:func:`_margin` at ||b|| = 1 and ||x_k|| / ||b||), with ||x_k||
+    bounded through ||x_k|| <= ||x*|| + nu ||e^y_{k-1}|| <= (1 + nu rho^(k-1)) ||x*||, rho = max(1, rho(U))
+    (the paper's contraction, ||e^y_k|| <= rho(U) ||e^y_{k-1}||) and ||x*|| = ||e^y_0|| <= RES_1 ||b|| / (1 - nu).
+    A point whose slack overflows is kept.
     """
     pruned = np.zeros(len(taus), dtype=bool)
     for j, tau in enumerate(taus.tolist()):
@@ -261,7 +266,7 @@ def _beyond_floor(taus: np.ndarray, cap: int, tol: float, nu_bound: float, res_1
         except OverflowError:
             continue
         x_over_b = (1.0 + nu_bound * growth) * res_1 / (1.0 - nu_bound)  # bound on ||x_k|| / ||b||, k <= cap
-        slack = 2 * cap * _EPS * ((norm_A + 1.0) * x_over_b + 1.0)
+        slack = _margin(cap, nu_bound, norm_A, x_over_b, 1.0)
         pruned[j] = math.isfinite(slack) and fpi_least_steps(tau, nu_bound, res_1, tol + slack) > cap
     return pruned
 
