@@ -5,8 +5,13 @@ arrays of its own validated scipy csr, in scipy's index dtype.
 :func:`factorize` takes one of two branches, and both reject every matrix
 that is not SPD with :class:`NotPositiveDefinite`:
 
-- banded Cholesky (LAPACK ``dpbtrf``) in the given order, when the band
-  storage of A fits in ``_BAND_STORAGE_LIMIT`` doubles;
+- banded Cholesky (LAPACK ``dpbtrf``), when the band storage of A fits in
+  ``_BAND_STORAGE_LIMIT`` doubles. The band is taken in A's own order or in
+  its reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as in
+  George & Liu 1981), whichever is strictly narrower, so a tie (every
+  lattice) keeps A's order. It is built in Fortran order, which ``dpbtrf``
+  factors in place; a solve gathers the right-hand side into the order and
+  scatters the result back, and a failing pivot is named in A's numbering;
 - otherwise SuperLU with a minimum-degree ordering applied symmetrically and
   only diagonal pivots, so that its U diagonal is the D of P A P^T = L D L^T,
   which is positive exactly when A is SPD.
@@ -19,7 +24,8 @@ lattice, is SPD by proof): the first read makes scipy build and cache CSC
 copies of L and U, about 34 MB at lattice 256.
 
 The band wins while the band is narrow or mostly nonzero (lattices up to
-m = 64, the Trefethen matrices up to 4000b); SuperLU wins where most of a
+m = 64, the Trefethen matrices up to 4098b, whose ordered band is 1626 x 4097
+doubles against 4097 x 4097 in its own order); SuperLU wins where most of a
 wide band would be fill (lattice 256, whose 135 MB band it factors about
 1.9x and solves about 3x faster with 4-column panels; see BENCH_13.json
 for the crossover table).
@@ -40,15 +46,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceFailure, DimensionMismatch, DomainError, NotPositiveDefinite, SymmetryError
 
-# Band storage (bandwidth + 1) * n above this many doubles (a 64 MiB band) is
-# factorized by SuperLU instead. With 4-column panels the two branches factor
-# lattice 128 (2.1M) in the same time; SuperLU is 1.1-1.4x ahead at lattice 181
-# (6.0M), 1.9x at lattice 256 (16.8M), and about 12x behind on Trefethen_4000b
-# (8.2M), which this keeps on the band.
+# Band storage (bandwidth + 1) * n above this many doubles (a 64 MiB band), in the order factorize takes, is
+# factorized by SuperLU instead. With 4-column panels the two branches factor lattice 128 (2.1M) in the same
+# time; SuperLU is 1.1-1.4x ahead at lattice 181 (6.0M), 1.9x at lattice 256 (16.8M), and about 12x behind on
+# Trefethen_4000b (8.2M in its own order), which this keeps on the band.
 _BAND_STORAGE_LIMIT = 2**23
 
 # Columns per SuperLU panel, in place of its default of 20. A panel of w columns keeps n x w dense
@@ -90,7 +96,7 @@ class SparseSpdMatrix:
         # each would only raise the construction's peak. Any other index dtype is cast to int64.
         row_ptr, col_idx = (a if a.dtype.kind == "i" else a.astype(np.int64)
                             for a in map(np.asarray, (self.row_ptr, self.col_idx)))
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _real(self.values, "matrix values")
         if self.n < 1:
             raise DomainError("dimension must be positive")
         if row_ptr.shape != (self.n + 1,):
@@ -127,7 +133,7 @@ class SparseSpdMatrix:
 
     @classmethod
     def from_dense(cls, arr) -> "SparseSpdMatrix":
-        return cls.from_scipy(np.asarray(arr, dtype=np.float64))
+        return cls.from_scipy(_real(arr, "matrix values"))
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -138,23 +144,43 @@ class SparseSpdMatrix:
 
 @dataclass(frozen=True)
 class FactorHandle:
-    """Reusable factorization of an SPD matrix; solves A z = r for any r."""
+    """Reusable factorization of an SPD matrix; solves A z = r for any r.
+
+    A band factor may be of A in an order (``_order[k]`` the row of A at
+    position k); a solve then gathers r into that order and scatters z back.
+    """
 
     n: int
     _band: np.ndarray | None = field(default=None, repr=False)
     _lu: object | None = field(default=None, repr=False)
+    _order: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve A z = r for a vector r, or for every row of a p x n block r."""
         r = _vector_or_rows(r, self.n, "right-hand side")
         # A C-ordered p x n block transposes, without a copy, into the
         # Fortran-ordered n x p multi-RHS array that LAPACK expects.
-        if self._band is not None:
-            z, info = dpbtrs(self._band, r.T, lower=1)
-            if info != 0:
-                raise ConvergenceFailure(f"banded triangular solve failed (info={info})")
+        if self._band is None:
+            return self._lu.solve(r.T).T
+        ordered = self._order is not None
+        if ordered:
+            r = r[..., self._order]  # a copy of its own, which the solve may overwrite
+        z, info = dpbtrs(self._band, r.T, lower=1, overwrite_b=ordered)
+        if info != 0:
+            raise ConvergenceFailure(f"banded triangular solve failed (info={info})")
+        if not ordered:
             return z.T
-        return self._lu.solve(r.T).T
+        out = np.empty_like(z.T)
+        out[..., self._order] = z.T
+        return out
+
+
+def _real(x, what: str) -> np.ndarray:
+    """x as a float64 array; DomainError for complex x, whose cast would drop the imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise DomainError(f"{what} must be real, not complex")
+    return x.astype(np.float64, copy=False)
 
 
 def _vector_or_rows(v, n: int, what: str) -> np.ndarray:
@@ -173,26 +199,49 @@ def matvec(A: SparseSpdMatrix, x: np.ndarray) -> np.ndarray:
 def factorize(A: SparseSpdMatrix) -> FactorHandle:
     """Factorize A once for repeated solves, on the branch its band storage selects.
 
-    Raises NotPositiveDefinite naming the failing pivot when A is not SPD.
+    Raises NotPositiveDefinite naming the failing pivot, in A's own numbering, when A is not SPD.
     """
-    # Each row holds its diagonal and sorted columns, so its first column gives the lower bandwidth, all dpbtrf reads.
-    bw = int(np.max(np.arange(A.n) - A.col_idx[A.row_ptr[:-1]]))
+    bw, order = _band_order(A)
     if (bw + 1) * A.n <= _BAND_STORAGE_LIMIT:
-        dense_band = np.zeros((bw + 1, A.n))
-        rows = A._rows()
-        lower = rows >= A.col_idx
-        dense_band[rows[lower] - A.col_idx[lower], A.col_idx[lower]] = A.values[lower]
-        c, info = dpbtrf(dense_band, lower=1)
-        if info > 0:
-            raise NotPositiveDefinite(info - 1)
+        rows, cols = A._rows(), A.col_idx
+        if order is not None:
+            at = _positions(order)
+            rows, cols = at[rows], at[cols]
+        lower = rows >= cols
+        # Fortran order is the layout dpbtrf reads, so it factors this array in place.
+        band = np.zeros((bw + 1, A.n), order="F")
+        band[rows[lower] - cols[lower], cols[lower]] = A.values[lower]
+        floor = _pivot_floor(band[0])
+        c, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info < 0:
             raise ConvergenceFailure(f"dpbtrf illegal argument (info={info})")
         # The pivots of L D L^T are the squares of the diagonal of L.
-        tiny = np.flatnonzero(c[0] ** 2 <= _pivot_floor(dense_band[0]))[:1]
-        if len(tiny):
-            raise NotPositiveDefinite(int(tiny[0]))
-        return FactorHandle(A.n, _band=c)
+        bad = [info - 1] if info > 0 else np.flatnonzero(c[0] ** 2 <= floor)[:1]
+        if len(bad):
+            raise NotPositiveDefinite(int(bad[0] if order is None else order[bad[0]]))
+        return FactorHandle(A.n, _band=c, _order=order)
     return FactorHandle(A.n, _lu=_spd_lu(A))
+
+
+def _band_order(A: SparseSpdMatrix) -> tuple[int, np.ndarray | None]:
+    """(lower bandwidth, order) of the narrower of A's own order and its reverse Cuthill-McKee order.
+
+    order[k] is the row of A at position k, or None for A's own order, which a tie keeps (every lattice
+    ties). Each row holds its diagonal and sorted columns, so its first column gives its reach below the
+    diagonal; in the order, a stored entry (i, j) lies at[i] - at[j] below it.
+    """
+    bw = int(np.max(np.arange(A.n) - A.col_idx[A.row_ptr[:-1]]))
+    order = reverse_cuthill_mckee(A.csr, symmetric_mode=True)
+    at = _positions(order)
+    ordered_bw = int(np.max(np.repeat(at, np.diff(A.row_ptr)) - np.take(at, A.col_idx)))
+    return (ordered_bw, order) if ordered_bw < bw else (bw, None)
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """at[i], the position of row i in the order: the inverse permutation."""
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order), dtype=order.dtype)
+    return at
 
 
 def _pivot_floor(diag: np.ndarray) -> np.ndarray:
@@ -204,10 +253,12 @@ def _pivot_floor(diag: np.ndarray) -> np.ndarray:
     return len(diag) * np.finfo(np.float64).eps * diag
 
 
-def _symmetric_splu(M: sp.spmatrix, permc_spec: str):
+def _symmetric_splu(M: sp.csr_matrix, permc_spec: str):
     # With a zero threshold and SymmetricMode, SuperLU takes every pivot from
     # the diagonal of the symmetrically permuted matrix unless it is exactly 0.
-    return splu(M.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
+    # M is symmetric, so the transpose of its csr is its csc, on M's own arrays
+    # (a copy would be 4 MB more at the peak of lattice 256's factorization).
+    return splu(M.T, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
                 options=dict(SymmetricMode=True))
 
 
@@ -322,14 +373,14 @@ def gershgorin_interval(A: SparseSpdMatrix) -> tuple[float, float]:
     return float(np.min(A.values[on_diag] - off)), float(np.max(A.values[on_diag] + off))
 
 
-def inv_norm_bound(A: SparseSpdMatrix) -> float | None:
+def inv_norm_bound(A: SparseSpdMatrix, lo: float) -> float | None:
     """An upper bound on nu = ||A^{-1}||_2 where a cheap one exists, else None.
 
-    A Gershgorin lower bound lo >= 1 on lambda_min(A) gives nu <= 1/lo, with no factorization. Below
-    that, when every diagonal entry exceeds 1, one factorization tests whether A - I is SPD, that is
-    nu < 1 (to rounding); failing that, a positive lo still gives 1/lo.
+    lo is A's Gershgorin lower bound on lambda_min(A) (:func:`gershgorin_interval`), which the caller
+    has at hand. lo >= 1 gives nu <= 1/lo, with no factorization. Below that, when every diagonal entry
+    exceeds 1, one factorization tests whether A - I is SPD, that is nu < 1 (to rounding); failing
+    that, a positive lo still gives 1/lo.
     """
-    lo = gershgorin_interval(A)[0]
     if lo < 1 < A.csr.diagonal().min():
         try:
             factorize(_shifted(A, 1.0))

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, ParseError
-from .linalg import SparseSpdMatrix, matvec
+from .linalg import SparseSpdMatrix, _real, matvec
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,14 @@ class AveProblem:
     x_star: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
+        b = _real(self.b, "b")
         object.__setattr__(self, "b", b)
         if b.shape != (self.A.n,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.A.n},)")
         if not np.isfinite(b).all():
             raise DomainError("b must be finite")
         if self.x_star is not None:
-            xs = np.asarray(self.x_star, dtype=np.float64)
+            xs = _real(self.x_star, "x_star")
             object.__setattr__(self, "x_star", xs)
             if xs.shape != (self.A.n,):
                 raise DimensionMismatch("x_star length differs from dimension")
@@ -50,7 +50,7 @@ def alternating_xstar(n: int) -> np.ndarray:
 
 def build_rhs(A: SparseSpdMatrix, x_star: np.ndarray) -> AveProblem:
     """Problem with b = A x* - |x*| so that x* solves it by construction."""
-    x_star = np.asarray(x_star, dtype=np.float64)
+    x_star = _real(x_star, "x_star")
     if x_star.shape != (A.n,):
         raise DimensionMismatch(f"x_star has shape {x_star.shape}, expected ({A.n},)")
     b = matvec(A, x_star) - np.abs(x_star)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, _norm, matvec
+from .linalg import FactorHandle, _norm, _real, matvec
 from .problems import AveProblem
 
 
@@ -94,7 +94,7 @@ def _residuals(problem: AveProblem, X: np.ndarray, norm_b: float) -> np.ndarray:
 
 def residual(problem: AveProblem, x: np.ndarray) -> float:
     """Relative residual ||A x - |x| - b||_2 / ||b||_2."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"vector has shape {x.shape}, expected ({problem.n},)")
     return float(_residuals(problem, x[None], _norm_b(problem))[0])

@@ -112,10 +112,11 @@ def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, n
     """(nu_hat, u = A^{-1} b, ||A||), what both the Krylov pass and the FPI floor start from: an upper bound
     on nu (:func:`avesolve.linalg.inv_norm_bound`) and, where there is one, the solve and the Gershgorin
     bound on ||A||; (None, None, None) without."""
-    nu_bound = inv_norm_bound(problem.A)
+    lo, hi = gershgorin_interval(problem.A)
+    nu_bound = inv_norm_bound(problem.A, lo)
     if nu_bound is None:
         return None, None, None
-    return nu_bound, f.solve(problem.b), gershgorin_interval(problem.A)[1]
+    return nu_bound, f.solve(problem.b), hi
 
 
 def _margin(k: int, nu_bound: float, norm_A: float, norm_x: float | np.ndarray, norm_b: float) -> float | np.ndarray:

@@ -72,6 +72,16 @@ class TestSparseSpdMatrix:
         with pytest.raises(DomainError, match="finite"):
             SparseSpdMatrix.from_dense([[4.0, value], [value, 4.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_values(self):
+        # A cast to float64 would keep only the real part, diag(4, 4), with no more than a ComplexWarning.
+        with pytest.raises(DomainError, match="real, not complex"):
+            SparseSpdMatrix.from_dense([[4 + 1j, 0], [0, 4]])
+        with pytest.raises(DomainError, match="real, not complex"):
+            SparseSpdMatrix.from_scipy(sp.csr_matrix(np.diag([4 + 1j, 4])))
+        with pytest.raises(DomainError, match="real, not complex"):
+            SparseSpdMatrix(2, np.array([0, 1, 2]), np.array([0, 1]), np.array([4 + 0j, 4]))
+
     def test_rejects_bad_row_ptr(self):
         with pytest.raises(DomainError):
             SparseSpdMatrix(2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
@@ -234,6 +244,13 @@ class TestFactorize:
         with pytest.raises(DimensionMismatch):
             f.solve(np.ones((2, problem.n + 1)))
 
+    def test_leaves_matrix_untouched(self):
+        # The band factor is formed in an array of its own; SuperLU reads A's own arrays as its csc.
+        A = gen_lattice(8).A
+        before = [a.tobytes() for a in (A.row_ptr, A.col_idx, A.values)]
+        factorize(A).solve(np.ones(A.n))
+        assert [a.tobytes() for a in (A.row_ptr, A.col_idx, A.values)] == before
+
     def test_round_trip_random_spd(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -283,6 +300,52 @@ class TestFactorizeSparse(TestFactorize):
                 factorize(A)
             assert 0 <= exc.value.pivot_index < A.n
         assert bool(read_backs) == (shift >= 4.0)
+
+
+def _permuted_lattice16():
+    """Lattice 16 under a seeded random symmetric permutation."""
+    perm = np.random.default_rng(16).permutation(256)
+    return SparseSpdMatrix.from_scipy(gen_lattice(16).A.csr[perm][:, perm])
+
+
+class TestOrderedBand:
+    def test_permuted_lattice_reorders_and_solves(self):
+        A = _permuted_lattice16()
+        f = factorize(A)
+        assert f._band is not None and f._order is not None
+        assert len(f._band) < 32  # the band of lattice 16 (17 rows), not the permuted one's ~255
+        R = np.random.default_rng(3).standard_normal((5, A.n))
+        Z = f.solve(R)
+        for r, z in zip(R, Z):
+            assert np.array_equal(f.solve(r), z)
+            assert np.linalg.norm(matvec(A, z) - r) <= 1e-12 * np.linalg.norm(r)
+
+    def test_storage_limit_applies_to_ordered_band(self, tref200b, monkeypatch):
+        # Trefethen_200b: its own band is 129 x 199 doubles, its reverse Cuthill-McKee band 101 x 199.
+        assert linalg._band_order(tref200b)[0] == 100
+        monkeypatch.setattr(linalg, "_BAND_STORAGE_LIMIT", 115 * 199)
+        f = factorize(tref200b)
+        assert f._band is not None and f._band.shape == (101, 199)
+        r = np.arange(1.0, 200.0)
+        assert np.linalg.norm(matvec(tref200b, f.solve(r)) - r) <= 1e-12 * np.linalg.norm(r)
+
+    def test_not_positive_definite_names_pivot_in_own_numbering(self):
+        # A diagonal entry of 0.01 in a row with a neighbour earlier in the order makes that row's pivot
+        # 0.01 - (at least 1/8) < 0, while every earlier pivot is unchanged and positive.
+        A = _permuted_lattice16()
+        order = linalg._band_order(A)[1]
+        position = int(np.flatnonzero(order == 0)[0])
+        assert position != 0 and np.isin(A.col_idx[A.row_ptr[0]:A.row_ptr[1]], order[:position]).any()
+        dense = A.to_dense()
+        dense[0, 0] = 0.01
+        with pytest.raises(NotPositiveDefinite) as exc:
+            factorize(SparseSpdMatrix.from_dense(dense))
+        assert exc.value.pivot_index == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256])
+    def test_lattices_keep_their_order(self, m):
+        A = gen_lattice(m).A
+        assert linalg._band_order(A) == (0 if m == 1 else m, None)
 
 
 @pytest.fixture
@@ -585,21 +648,25 @@ def test_estimate_inv_norm_matches_eigvalsh(dense):
             assert abs(estimate_inv_norm(A) - expected) <= 1e-6 * expected
 
 
+def _inv_norm_bound(A):
+    return linalg.inv_norm_bound(A, linalg.gershgorin_interval(A)[0])
+
+
 class TestInvNormBound:
     def test_cases(self, tref200b, factorize_calls):
         # Lattice 8: Gershgorin lo = 4, no factorization. Trefethen_200b: lo = -5, and A - I factorizes.
-        assert linalg.inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
-        assert linalg.inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
+        assert _inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
+        assert _inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
         # Lattice 8 scaled by 0.1: lambda_min 0.42 < 1, so A - I is not SPD; lo = 0.4 still bounds it.
-        assert linalg.inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
+        assert _inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
         # lo = 0 and lambda_min < 1: no cheap bound.
-        assert linalg.inv_norm_bound(tridiag(-1, 2, 10)) is None
+        assert _inv_norm_bound(tridiag(-1, 2, 10)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(random_spd_kinds, st.sampled_from([1.0, 20.0]))
     def test_bounds_nu(self, dense, scale):
         A = SparseSpdMatrix.from_dense(scale * dense)
-        bound = linalg.inv_norm_bound(A)
+        bound = _inv_norm_bound(A)
         assert bound is None or bound >= (1 - 1e-9) * dense_inv_norm(A)
 
 

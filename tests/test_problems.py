@@ -88,6 +88,14 @@ class TestAveProblem:
         with pytest.raises(DomainError, match="x_star must be finite"):
             AveProblem(A, np.ones(4), [1.0, value, 1.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex(self):
+        A = gen_lattice(2).A
+        with pytest.raises(DomainError, match="b must be real"):
+            AveProblem(A, [1j, 1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="x_star must be real"):
+            AveProblem(A, np.ones(4), np.array([1.0, 1.0 + 1e-3j, 1.0, 1.0]))
+
 
 class TestBuildRhs:
     def test_hand_arithmetic(self):
@@ -106,6 +114,11 @@ class TestBuildRhs:
         p = gen_lattice(8)
         rebuilt = build_rhs(p.A, alternating_xstar(64))
         assert np.array_equal(rebuilt.b, p.b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_xstar(self):
+        with pytest.raises(DomainError, match="x_star must be real"):
+            build_rhs(gen_lattice(2).A, alternating_xstar(4) + 1j)
 
     def test_dimension_mismatch(self):
         A = SparseSpdMatrix.from_dense(np.eye(2) * 1.0)

@@ -64,6 +64,13 @@ class TestResidual:
                 solvers.iterate_block(p, factorize(A), method, [1.0], 1e-8, 10, zeros, zeros)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex_iterate(self):
+        p = gen_lattice(4)
+        with pytest.raises(DomainError, match="x must be real"):
+            residual(p, p.x_star + 1j)
+
+
 class TestSolveConfig:
     def test_rejects_zero_kmax(self):
         with pytest.raises(DomainError):

@@ -165,7 +165,7 @@ class TestGridArgmin:
         # bound on nu, so no column certified and no floor), the capped direct chunks take about 22k.
         p, f = lattice8
         if direct:
-            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A: None)
+            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A, lo: None)
         columns = []
         solve = linalg.FactorHandle.solve
 
@@ -221,6 +221,22 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
         start = sweep._krylov_start(problem, f)
         its, certified = sweep._krylov_counts(problem, f, method, grid, tol, k_max, True, start)
         assert len(set(its[certified & (its <= k_max)].tolist())) <= 1
+
+
+def test_krylov_start_takes_the_gershgorin_interval_once(monkeypatch):
+    # inv_norm_bound gets the lower end from _krylov_start, which keeps the upper end as the bound on ||A||.
+    calls = []
+    interval = linalg.gershgorin_interval
+
+    def counted(A):
+        calls.append(A)
+        return interval(A)
+
+    monkeypatch.setattr(linalg, "gershgorin_interval", counted)
+    monkeypatch.setattr(sweep, "gershgorin_interval", counted)
+    problem = gen_lattice(8)
+    nu_bound, _, norm_A = sweep._krylov_start(problem, factorize(problem.A))
+    assert (nu_bound, norm_A, len(calls)) == (0.25, 12.0, 1)
 
 
 def _lattice8_scaled():
