@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -58,19 +59,42 @@ def build_rhs(A: SparseSpdMatrix, x_star: np.ndarray) -> AveProblem:
 
 
 def gen_lattice(m: int) -> AveProblem:
-    """Block-tridiagonal lattice problem of dimension n = m^2.
+    """Five-point lattice problem of dimension n = m^2, with the alternating designated solution.
 
-    Diagonal blocks tridiag(-1, 8, -1), off-diagonal blocks -I, alternating
-    designated solution.
+    Row k = i*m + j (point j of line i) holds 8 on the diagonal and -1 at
+    columns k - m and k + m (the neighbouring lines) and k - 1 and k + 1 (its
+    neighbours on line i), wherever these exist, so there is no coupling
+    across the end of a line. This is the Kronecker sum
+    kron(I, tridiag(-1, 8, -1)) + kron(tridiag(-1, 0, -1), I); its CSR arrays
+    are built directly (`_five_point_csr`), with no Kronecker product, and
+    validated by :class:`SparseSpdMatrix` like any other input.
     """
+    try:
+        m = operator.index(m)  # an int or numpy integer; 2.5 or "3" would fail later in np.arange
+    except TypeError:
+        raise DomainError("m must be an integer") from None
     if m < 1:
         raise DimensionMismatch("m must be at least 1")
+    return build_rhs(SparseSpdMatrix.from_scipy(_five_point_csr(m)), alternating_xstar(m * m))
+
+
+def _five_point_csr(m: int) -> sp.csr_matrix:
+    """The lattice matrix by index arithmetic: five candidate columns per row, in increasing order,
+    the absent ones masked out. Its temporaries are freed on return, before the validation's own peak."""
     n = m * m
-    S = sp.diags([-np.ones(m - 1), 8.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
-    A = sp.kron(sp.eye(m), S) + sp.kron(
-        sp.diags([-np.ones(m - 1), -np.ones(m - 1)], [-1, 1]), sp.eye(m)
-    )
-    return build_rhs(SparseSpdMatrix.from_scipy(A), alternating_xstar(n))
+    # scipy's index dtype for at most 5n entries, so the csr takes these arrays without a cast copy. The
+    # half-size temporaries matter too: freeing int64 ones (2.6 MB each at lattice 256) raises glibc's
+    # mmap threshold, and with it the process's later peak RSS.
+    index = np.int32 if 5 * n < 2**31 else np.int64
+    k = np.arange(n, dtype=index)
+    j = k % m
+    offsets = np.array([-m, -1, 0, 1, m], dtype=index)
+    present = np.column_stack([k >= m, j > 0, np.ones(n, bool), j < m - 1, k < n - m])
+    row_ptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(present.sum(axis=1), out=row_ptr[1:])
+    col_idx = (k[:, None] + offsets)[present]
+    values = np.broadcast_to(np.where(offsets == 0, 8.0, -1.0), present.shape)[present]
+    return sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,39 @@ class TestAlternatingXstar:
         assert np.array_equal(alternating_xstar(64), gen_lattice(8).x_star)
 
 
+def kronecker_lattice(m):
+    """The lattice problem by its definition, the Kronecker sum of the line and cross-line couplings."""
+    S = sp.diags([-np.ones(m - 1), 8.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    K = sp.diags([-np.ones(m - 1), -np.ones(m - 1)], [-1, 1])
+    A = sp.kron(sp.eye(m), S) + sp.kron(K, sp.eye(m))
+    return build_rhs(SparseSpdMatrix.from_scipy(A), alternating_xstar(m * m))
+
+
 class TestGenLattice:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 17, 64])
+    def test_matches_kronecker_sum(self, m):
+        p, ref = gen_lattice(m), kronecker_lattice(m)
+        for got, want in [(p.A.row_ptr, ref.A.row_ptr), (p.A.col_idx, ref.A.col_idx), (p.A.values, ref.A.values),
+                          (p.b, ref.b), (p.x_star, ref.x_star)]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2.5, "3"])
+    def test_rejects_non_integer_m(self, m):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            gen_lattice(m)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_m_below_one(self, m):
+        with pytest.raises(DimensionMismatch, match="m must be at least 1"):
+            gen_lattice(m)
+
+    def test_numpy_integer_m(self):
+        p, ref = gen_lattice(np.int64(3)), gen_lattice(3)
+        assert p.n == 9
+        assert np.array_equal(p.A.to_dense(), ref.A.to_dense())
+        assert np.array_equal(p.b, ref.b)
+
     def test_m1(self):
         p = gen_lattice(1)
         assert p.n == 1
