@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,17 @@ _STALL_SWEEPS = 8
 class SparseSpdMatrix:
     """Symmetric positive-definite matrix in CSR form, both triangles stored.
 
-    Finite values, positive diagonal and structural/value symmetry are
-    checked on construction; full positive definiteness is only established
-    by a successful :func:`factorize`. The matrix stores one copy of its
-    input: row_ptr, col_idx and values are the indptr, indices and data of
-    the validated csr, in scipy's index dtype, and alias no caller's array.
+    The input is canonical CSR: an integer n, integer index arrays, and in
+    each row strictly increasing columns. Finite values, positive diagonal
+    and structural/value symmetry are checked on construction; full positive
+    definiteness is only established by a successful :func:`factorize`.
+    Symmetry is first read off the arrays: those of the csr's ``tocsc()``
+    are the transpose's canonical CSR arrays, built in one counting-sort
+    pass, and equal arrays prove A = A^T. Only when they differ does the
+    exact ``(csr != csr.T).nnz`` rule decide, so a stored explicit zero
+    whose mirror is absent is still accepted. The matrix stores one copy of
+    its input: row_ptr, col_idx and values are the indptr, indices and data
+    of the validated csr, in scipy's index dtype, and alias no caller's array.
     """
 
     n: int
@@ -92,29 +99,39 @@ class SparseSpdMatrix:
     csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)  # an int or numpy integer, never 2.0
+        except TypeError:
+            raise DomainError("dimension must be an integer") from None
+        object.__setattr__(self, "n", n)
         # Signed integer indices are checked as given (scipy's int32 at every size in use): an int64 copy of
-        # each would only raise the construction's peak. Any other index dtype is cast to int64.
-        row_ptr, col_idx = (a if a.dtype.kind == "i" else a.astype(np.int64)
-                            for a in map(np.asarray, (self.row_ptr, self.col_idx)))
+        # each would only raise the construction's peak. Unsigned ones are cast to int64, where np.diff cannot
+        # wrap around; float indices would be truncated by any cast, so they are rejected.
+        row_ptr, col_idx = map(np.asarray, (self.row_ptr, self.col_idx))
+        if row_ptr.dtype.kind not in "iu" or col_idx.dtype.kind not in "iu":
+            raise DomainError("row_ptr and col_idx must be integer arrays")
+        row_ptr, col_idx = (a if a.dtype.kind == "i" else a.astype(np.int64) for a in (row_ptr, col_idx))
         values = _real(self.values, "matrix values")
-        if self.n < 1:
+        if n < 1:
             raise DomainError("dimension must be positive")
-        if row_ptr.shape != (self.n + 1,):
+        if row_ptr.shape != (n + 1,):
             raise DomainError("row_ptr must have length n+1")
         if np.any(np.diff(row_ptr) < 0) or row_ptr[0] != 0 or row_ptr[-1] != len(col_idx):
             raise DomainError("row_ptr must be nondecreasing from 0 to nnz")
         if len(col_idx) != len(values):
             raise DomainError("col_idx and values must have equal length")
-        if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= self.n):
+        if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= n):
             raise DomainError("column indices out of range")
         if not np.isfinite(values).all():
             raise DomainError("matrix values must be finite")
-        rows = np.repeat(np.arange(self.n, dtype=row_ptr.dtype), np.diff(row_ptr))
-        bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
-        if bad.any():
+        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n), copy=True)
+        if not csr.has_canonical_format:  # one C pass, no row index array: strictly increasing columns per row
+            rows = np.repeat(np.arange(n), np.diff(row_ptr))
+            bad = (np.diff(col_idx) <= 0) & (rows[1:] == rows[:-1])
             raise DomainError(f"column indices not strictly increasing in row {rows[1:][bad][0]}")
-        csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(self.n, self.n), copy=True)
-        if (csr != csr.T).nnz != 0:
+        t = csr.tocsc()  # the canonical CSR arrays of A^T: equal to A's own, they prove A = A^T
+        same = all(map(np.array_equal, (csr.indptr, csr.indices, csr.data), (t.indptr, t.indices, t.data)))
+        if not same and (csr != csr.T).nnz != 0:
             raise SymmetryError("stored pattern/values are not symmetric")
         diag = csr.diagonal()
         if np.any(diag <= 0):

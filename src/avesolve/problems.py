@@ -65,9 +65,10 @@ def gen_lattice(m: int) -> AveProblem:
     columns k - m and k + m (the neighbouring lines) and k - 1 and k + 1 (its
     neighbours on line i), wherever these exist, so there is no coupling
     across the end of a line. This is the Kronecker sum
-    kron(I, tridiag(-1, 8, -1)) + kron(tridiag(-1, 0, -1), I); its CSR arrays
-    are built directly (`_five_point_csr`), with no Kronecker product, and
-    validated by :class:`SparseSpdMatrix` like any other input.
+    kron(I, tridiag(-1, 8, -1)) + kron(tridiag(-1, 0, -1), I); its canonical
+    CSR arrays are built directly (`_five_point_csr`), with no Kronecker
+    product, and go straight to :class:`SparseSpdMatrix`, which validates
+    them like any other input.
     """
     try:
         m = operator.index(m)  # an int or numpy integer; 2.5 or "3" would fail later in np.arange
@@ -75,14 +76,15 @@ def gen_lattice(m: int) -> AveProblem:
         raise DomainError("m must be an integer") from None
     if m < 1:
         raise DimensionMismatch("m must be at least 1")
-    return build_rhs(SparseSpdMatrix.from_scipy(_five_point_csr(m)), alternating_xstar(m * m))
+    return build_rhs(SparseSpdMatrix(m * m, *_five_point_csr(m)), alternating_xstar(m * m))
 
 
-def _five_point_csr(m: int) -> sp.csr_matrix:
-    """The lattice matrix by index arithmetic: five candidate columns per row, in increasing order,
-    the absent ones masked out. Its temporaries are freed on return, before the validation's own peak."""
+def _five_point_csr(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """row_ptr, col_idx and values of the lattice matrix by index arithmetic: five candidate columns per
+    row, in increasing order, the absent ones masked out. Its temporaries are freed on return, before the
+    validation's own peak."""
     n = m * m
-    # scipy's index dtype for at most 5n entries, so the csr takes these arrays without a cast copy. The
+    # scipy's index dtype for at most 5n entries, so the validated csr takes these arrays without a cast. The
     # half-size temporaries matter too: freeing int64 ones (2.6 MB each at lattice 256) raises glibc's
     # mmap threshold, and with it the process's later peak RSS.
     index = np.int32 if 5 * n < 2**31 else np.int64
@@ -94,7 +96,7 @@ def _five_point_csr(m: int) -> sp.csr_matrix:
     np.cumsum(present.sum(axis=1), out=row_ptr[1:])
     col_idx = (k[:, None] + offsets)[present]
     values = np.broadcast_to(np.where(offsets == 0, 8.0, -1.0), present.shape)[present]
-    return sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+    return row_ptr, col_idx, values
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
@@ -202,19 +204,12 @@ def load_matrix_market(path) -> SparseSpdMatrix:
     # finite check of SparseSpdMatrix reports either.
     with np.errstate(over="ignore", invalid="ignore"):
         coo.sum_duplicates()
+    r, c, v = coo.row, coo.col, coo.data
+    del coo  # the stored triangle's arrays are then freed when mirrored, before the validation's peak
     if symmetry == "symmetric":
-        off = coo.row != coo.col
-        coo = sp.coo_matrix(
-            (
-                np.concatenate([coo.data, coo.data[off]]),
-                (
-                    np.concatenate([coo.row, coo.col[off]]),
-                    np.concatenate([coo.col, coo.row[off]]),
-                ),
-            ),
-            shape=(nrows, ncols),
-        )
-    return SparseSpdMatrix.from_scipy(coo)
+        off = r != c
+        r, c, v = np.concatenate([r, c[off]]), np.concatenate([c, r[off]]), np.concatenate([v, v[off]])
+    return SparseSpdMatrix.from_scipy(sp.csr_matrix((v, (r, c)), shape=(nrows, ncols)))
 
 
 def save_matrix_market(A: SparseSpdMatrix, path) -> None:

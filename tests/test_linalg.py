@@ -18,6 +18,7 @@ from avesolve import (
     DomainError,
     NotPositiveDefinite,
     SparseSpdMatrix,
+    SymmetryError,
     estimate_inv_norm,
     factorize,
     gen_lattice,
@@ -151,6 +152,86 @@ class TestSparseSpdMatrix:
         assert (f._band is None) == (m == 256)
         z = f.solve(problem.b)
         assert np.linalg.norm(matvec(A, z) - problem.b) <= 1e-12 * np.linalg.norm(problem.b)
+
+    @pytest.mark.parametrize(
+        "n, row_ptr, col_idx",
+        [
+            (2, [0, 1, 2], [0.0, 1.9]),  # a cast would truncate the columns to [0, 1]
+            (2, [0.0, 1.0, 2.0], [0, 1]),
+            (2, [0, 1, 2], [False, True]),
+            (2.0, [0, 1, 2], [0, 1]),
+            ("2", [0, 1, 2], [0, 1]),
+        ],
+    )
+    def test_rejects_non_integer_indices_and_dimension(self, n, row_ptr, col_idx):
+        with pytest.raises(DomainError, match="integer"):
+            SparseSpdMatrix(n, row_ptr, col_idx, [4.0, 4.0])
+
+    def test_accepts_unsigned_indices_and_numpy_dimension(self):
+        A = SparseSpdMatrix(np.int64(2), np.array([0, 1, 2], np.uint32), np.array([0, 1], np.uint64), [4.0, 4.0])
+        assert type(A.n) is int and A.n == 2
+        assert np.array_equal(A.to_dense(), np.diag([4.0, 4.0]))
+        # np.diff of unsigned [0, 2, 1, 2] would wrap to 2**64 - 1 instead of going negative.
+        with pytest.raises(DomainError, match="nondecreasing"):
+            SparseSpdMatrix(3, np.array([0, 2, 1, 2], np.uint64), np.array([0, 1], np.uint64), [4.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "row_ptr, col_idx, values, symmetric",
+        [
+            ([0, 2, 3], [0, 1, 1], [4.0, 0.0, 4.0], True),  # explicit zero at (0, 1), (1, 0) absent
+            ([0, 2, 4], [0, 1, 0, 1], [4.0, 0.0, -0.0, 4.0], True),  # +0 mirrors -0
+            ([0, 2, 4], [0, 1, 0, 1], [4.0, 0.1, np.nextafter(0.1, 1.0), 4.0], False),  # one ulp apart
+            ([0, 2, 3], [0, 1, 1], [4.0, 1e-300, 4.0], False),  # (1, 0) absent
+        ],
+    )
+    def test_symmetry_verdict_on_explicit_zeros_and_ulps(self, row_ptr, col_idx, values, symmetric):
+        args = (2, np.array(row_ptr, np.int32), np.array(col_idx, np.int32), np.array(values))
+        if not symmetric:
+            with pytest.raises(SymmetryError, match="^stored pattern/values are not symmetric$"):
+                SparseSpdMatrix(*args)
+            return
+        A = SparseSpdMatrix(*args)
+        assert [a.tobytes() for a in (A.row_ptr, A.col_idx, A.values)] == [a.tobytes() for a in args[1:]]
+
+
+@st.composite
+def canonical_inputs(draw):
+    """Canonical CSR arrays (int32 indices) of a small matrix with a positive diagonal: a symmetric
+    pattern and values, to which up to two asymmetries are applied. An asymmetry is a stored explicit
+    zero with no mirror, a value moved by one ulp, or an off-diagonal entry whose mirror is dropped."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0, allow_subnormal=True))
+    stored = np.triu(draw(hnp.arrays(bool, (n, n))), 1)
+    M = np.triu(draw(hnp.arrays(np.float64, (n, n), elements=value)), 1)
+    stored, M = stored | stored.T, M + M.T  # every zero is +0.0 here; some turn -0.0, facing a +0.0 mirror
+    M[stored & (M == 0) & draw(hnp.arrays(bool, (n, n)))] = -0.0
+    np.fill_diagonal(stored, True)
+    np.fill_diagonal(M, draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 8.0))))
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["zero", "ulp", "drop"]))
+        if kind == "zero" and not stored[i, j]:
+            stored[i, j], M[i, j] = True, 0.0
+        elif kind == "ulp" and i != j and stored[i, j]:
+            M[i, j] = np.nextafter(M[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "drop" and i != j:
+            stored[i, j] = False
+    row_ptr = np.zeros(n + 1, np.int32)
+    np.cumsum(stored.sum(axis=1), out=row_ptr[1:])
+    return n, row_ptr, np.nonzero(stored)[1].astype(np.int32), M[stored]
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_inputs())
+def test_symmetry_verdict_matches_exact_rule(args):
+    n, row_ptr, col_idx, values = args
+    ref = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+    if (ref != ref.T).nnz != 0:
+        with pytest.raises(SymmetryError, match="^stored pattern/values are not symmetric$"):
+            SparseSpdMatrix(n, row_ptr, col_idx, values)
+    else:
+        A = SparseSpdMatrix(n, row_ptr, col_idx, values)
+        assert [a.tobytes() for a in (A.row_ptr, A.col_idx, A.values)] == [a.tobytes() for a in args[1:]]
 
 
 class TestMatvec:
