@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AveError, DomainError
 from .linalg import estimate_inv_norm, factorize
-from .params import ParamEnvelope
+from .params import ParamEnvelope, _check_positive
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, check_stop_rule, solve_fpi, solve_sor_like
 from .sweep import domain_curves, grid_argmin, grid_search
@@ -58,8 +58,14 @@ def _add_output_flags(p):
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits EXIT_ERROR: argparse's own 2 is EXIT_NO_CONVERGENCE here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ave", description="Solvers for absolute value equations Ax - |x| = b")
+    ap = _Parser(prog="ave", description="Solvers for absolute value equations Ax - |x| = b")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solver on one problem")
@@ -176,9 +182,6 @@ def _run(problem, f, method, param, args, repeats=1) -> dict:
 
 
 def cmd_solve(args) -> int:
-    check_stop_rule(args.tol, args.kmax)  # bad input fails before the problem is built
-    if args.param not in ("optimal", "grid"):
-        SolveConfig(float(args.param), args.tol, args.kmax)
     problem = _load_problem(args.lattice, args.matrix)
     f = factorize(problem.A)
     rec = _run(problem, f, args.method, _param(args.param, problem, f, args.method, args), args)
@@ -187,7 +190,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    check_stop_rule(args.tol, args.kmax)  # before the problem is built
     problem = _load_problem(args.lattice, args.matrix)
     if args.format == "csv":
         # Only the table needs every grid point run to its end.
@@ -236,7 +238,6 @@ def _resolve_matrix(name: str, matrix_dir: str | None) -> str:
 
 
 def cmd_bench(args) -> int:
-    check_stop_rule(args.tol, args.kmax)  # a bad --tol/--kmax fails the command
     matrix_dir = args.matrix_dir or os.environ.get("AVE_MATRIX_DIR")
     jobs = [(f"lattice{m}", m, None) for m in args.lattice] + [(name, None, name) for name in args.matrix]
     rows = []
@@ -283,6 +284,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tol" in args:  # solve, sweep and bench: bad numbers fail the command before any problem is built
+            check_stop_rule(args.tol, args.kmax)
+        if args.command == "solve" and args.param not in ("optimal", "grid"):
+            _check_positive("iteration parameter", float(args.param))
         return _COMMANDS[args.command](args)
     except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,15 +193,25 @@ class FactorHandle:
 
 
 def _real(x, what: str) -> np.ndarray:
-    """x as a float64 array; DomainError for complex x, whose cast would drop the imaginary part."""
+    """x as a float64 array, a float64 ndarray as it is; DomainError for complex x, which a cast would make real."""
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return x
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise DomainError(f"{what} must be real, not complex")
     return x.astype(np.float64, copy=False)
 
 
+def _vector(v, n: int, what: str) -> np.ndarray:
+    """v as a real float64 vector of shape (n,), else DomainError or DimensionMismatch."""
+    v = _real(v, what)
+    if v.shape != (n,):
+        raise DimensionMismatch(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
+
+
 def _vector_or_rows(v, n: int, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+    v = _real(v, what)
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise DimensionMismatch(f"{what} has shape {v.shape}, expected ({n},) or (p, {n})")
     return v

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import operator
 import warnings
@@ -11,35 +12,32 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, ParseError
-from .linalg import SparseSpdMatrix, _real, matvec
+from .linalg import SparseSpdMatrix, _norm, _vector, matvec
 
 
 @dataclass(frozen=True)
 class AveProblem:
-    """An instance of A x - |x| = b, optionally with a known solution."""
+    """An instance of A x - |x| = b with real, finite b and optional x_star of length n. norm_b = ||b||_2, taken
+    once, divides every RES, direct or certified; for b = 0 it is 0, and forming RES raises DomainError."""
 
     A: SparseSpdMatrix
     b: np.ndarray
     x_star: np.ndarray | None = None
 
     def __post_init__(self):
-        b = _real(self.b, "b")
-        object.__setattr__(self, "b", b)
-        if b.shape != (self.A.n,):
-            raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.A.n},)")
-        if not np.isfinite(b).all():
-            raise DomainError("b must be finite")
-        if self.x_star is not None:
-            xs = _real(self.x_star, "x_star")
-            object.__setattr__(self, "x_star", xs)
-            if xs.shape != (self.A.n,):
-                raise DimensionMismatch("x_star length differs from dimension")
-            if not np.isfinite(xs).all():
-                raise DomainError("x_star must be finite")
+        for name in ("b", "x_star") if self.x_star is not None else ("b",):
+            v = _vector(getattr(self, name), self.A.n, name)
+            if not np.isfinite(v).all():
+                raise DomainError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
         return self.A.n
+
+    @functools.cached_property
+    def norm_b(self) -> float:
+        return _norm(self.b)
 
 
 def alternating_xstar(n: int) -> np.ndarray:
@@ -51,11 +49,8 @@ def alternating_xstar(n: int) -> np.ndarray:
 
 def build_rhs(A: SparseSpdMatrix, x_star: np.ndarray) -> AveProblem:
     """Problem with b = A x* - |x*| so that x* solves it by construction."""
-    x_star = _real(x_star, "x_star")
-    if x_star.shape != (A.n,):
-        raise DimensionMismatch(f"x_star has shape {x_star.shape}, expected ({A.n},)")
-    b = matvec(A, x_star) - np.abs(x_star)
-    return AveProblem(A, b, x_star)
+    x_star = _vector(x_star, A.n, "x_star")
+    return AveProblem(A, matvec(A, x_star) - np.abs(x_star), x_star)
 
 
 def gen_lattice(m: int) -> AveProblem:

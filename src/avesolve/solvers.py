@@ -14,15 +14,20 @@ updates performed.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, _norm, _real, matvec
+from .errors import DomainError
+from .linalg import FactorHandle, _real, _vector, matvec
+from .params import _check_positive
 from .problems import AveProblem
+
+
+def check_method(method: str) -> None:
+    if method not in ("sor", "fpi"):  # the one method rule of the iterations and sweeps
+        raise DomainError(f"unknown method '{method}'")
 
 
 def check_stop_rule(tol: float, k_max: int) -> None:
@@ -49,8 +54,7 @@ class SolveConfig:
     k_max: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.parameter) and self.parameter > 0):
-            raise DomainError("iteration parameter must be positive and finite")
+        _check_positive("iteration parameter", self.parameter)
         check_stop_rule(self.tol, self.k_max)
 
 
@@ -75,29 +79,20 @@ class BlockStops:
     res: np.ndarray  # RES after the last update
 
 
-def _norm_b(problem: AveProblem) -> float:
-    """||b||_2, the divisor of every relative residual, once per caller; DomainError for b = 0."""
-    norm_b = _norm(problem.b)
-    if norm_b == 0.0:
-        raise DomainError("relative residual undefined for b = 0")
-    return norm_b
+def _residuals(problem: AveProblem, X: np.ndarray) -> np.ndarray:
+    """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X; DomainError for b = 0.
 
-
-def _residuals(problem: AveProblem, X: np.ndarray, norm_b: float) -> np.ndarray:
-    """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X, norm_b = ||b||_2.
-
-    No vector reduction here uses BLAS: ||b|| is a :func:`avesolve.linalg._norm`, taken once by the
-    caller, and the row norms are numpy's own sums. Only the factor-solves use BLAS threads.
+    No vector reduction here uses BLAS: ||b|| is the problem's norm_b, a :func:`avesolve.linalg._norm`
+    taken once per problem, and the row norms are numpy's own sums. Only the factor-solves use BLAS threads.
     """
-    return np.linalg.norm(matvec(problem.A, X) - np.abs(X) - problem.b, axis=1) / norm_b
+    if problem.norm_b == 0.0:
+        raise DomainError("relative residual undefined for b = 0")
+    return np.linalg.norm(matvec(problem.A, X) - np.abs(X) - problem.b, axis=1) / problem.norm_b
 
 
 def residual(problem: AveProblem, x: np.ndarray) -> float:
     """Relative residual ||A x - |x| - b||_2 / ||b||_2."""
-    x = _real(x, "x")
-    if x.shape != (problem.n,):
-        raise DimensionMismatch(f"vector has shape {x.shape}, expected ({problem.n},)")
-    return float(_residuals(problem, x[None], _norm_b(problem))[0])
+    return float(_residuals(problem, _vector(x, problem.n, "x")[None])[0])
 
 
 def iterate_block(
@@ -117,17 +112,15 @@ def iterate_block(
     that makes x or y non-finite (diverged), brings RES to at most tol
     (converged) or is the k_max-th; stopped columns are dropped from the
     block, so they cost no further work. The caller bounds the block's size
-    (the sweep module runs a grid in chunks). Parameters, tol and k_max are
-    validated by the callers (SolveConfig, the sweep module), which start
-    every column from zero.
+    (the sweep module runs a grid in chunks). Method, real parameters and start
+    vectors of length n are checked here; the parameters' range, tol and k_max
+    by the callers (SolveConfig, the sweep module), which start from zero.
     ``observe(X, Y, res)``, when given, sees the rows still running after
     every update, before any stop.
     """
-    if f.n != problem.n:
-        raise DimensionMismatch("factorization dimension differs from problem dimension")
-    norm_b = _norm_b(problem)
+    check_method(method)
     sor = method == "sor"
-    params = np.asarray(params, dtype=np.float64)
+    params = _real(params, "parameters")
     p = len(params)
     stopped_at = np.zeros(p, dtype=np.int64)
     converged = np.zeros(p, dtype=bool)
@@ -135,15 +128,15 @@ def iterate_block(
     res_out = np.full(p, np.nan)
     cols = np.arange(p)
     w = params[:, None]
-    X = np.tile(x0, (p, 1))
-    Y = np.tile(y0, (p, 1))
+    X = np.tile(_vector(x0, problem.n, "x0"), (p, 1))
+    Y = np.tile(_vector(y0, problem.n, "y0"), (p, 1))
     # Diverging columns overflow on purpose; they are caught by the finiteness test.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, k_max + 1):
             Z = f.solve(Y + problem.b)
             X = (1.0 - w) * X + w * Z if sor else Z
             Y = (1.0 - w) * Y + w * np.abs(X)
-            res = _residuals(problem, X, norm_b)
+            res = _residuals(problem, X)
             if observe is not None:
                 observe(X, Y, res)
             bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))

@@ -9,21 +9,20 @@ certifies that the direct iteration stops at the same step. Every other grid
 point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
 multi-RHS factor-solve per step, in chunks of consecutive points
-(:func:`_chunks`) sized by BLOCK_BYTES. The Krylov pass runs every grid point
-at once, and forms the iterates of its sign check only where a bound from a
-neighbouring anchor column misses. Two searches share this:
+(:func:`_chunks`) sized by BLOCK_BYTES, nearest the analytical optimum 1 first.
+The Krylov pass runs every grid point at once, and forms the iterates of its
+sign check only where a bound from a neighbouring anchor column misses. Two
+searches share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
   count, the same one grid_search finds. The Krylov pass stops at k*, the
-  least step at which a certified column converges. The direct path visits
-  the chunk next to the analytical optimum 1 first, then the others by
-  distance from it. A direct chunk runs at most k* steps if it starts before
-  the grid point attaining k* (it can still tie and win on index), at most
-  k* - 1 if it starts after it, and not at all when that is 0. For FPI with
-  nu_hat < 1 it first drops the points whose RES floor
-  (:func:`avesolve.params.fpi_least_steps`) stays above tol that long.
+  least step at which a certified column converges. A direct chunk runs at
+  most k* steps if it starts before the grid point attaining k* (it can still
+  tie and win on index), at most k* - 1 if it starts after it, and not at all
+  when that is 0. For FPI with nu_hat < 1 it first drops the points whose RES
+  floor (:func:`avesolve.params.fpi_least_steps`) stays above tol that long.
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -36,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import FactorHandle, factorize, gershgorin_interval, inv_norm_bound, matvec
+from .linalg import FactorHandle, _real, factorize, gershgorin_interval, inv_norm_bound, matvec
 from .params import fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
 from .problems import AveProblem
-from .solvers import check_stop_rule, iterate_block
+from .solvers import check_method, check_stop_rule, iterate_block
 
 
 def default_grid() -> np.ndarray:
@@ -66,8 +65,8 @@ BLOCK_BYTES = 128 * 2**10
 # columns; the others pass on a bound from their anchor's iterate and are formed only where it misses.
 ANCHOR_RUN = 16
 
-# The analytical optimum of both iterations, omega = tau = 1: an argmin search visits the direct chunk of
-# grid points nearest it first.
+# The analytical optimum of both iterations, omega = tau = 1: the direct path visits the chunk of grid points
+# nearest it first.
 PAPER_OPTIMUM = 1.0
 
 _EPS = np.finfo(np.float64).eps
@@ -76,13 +75,11 @@ _EPS = np.finfo(np.float64).eps
 _HEADROOM = _EPS * np.finfo(np.float64).max
 
 
-def _chunks(grid: np.ndarray, rows: int, argmin: bool) -> list[np.ndarray]:
-    """Index runs of up to ``rows`` consecutive grid points for the direct path, in grid order or, with
-    ``argmin``, the run holding the point nearest PAPER_OPTIMUM first, then the others by distance from it."""
-    starts = range(0, len(grid), rows)
-    if argmin and len(grid):
-        home = int(np.argmin(np.abs(grid - PAPER_OPTIMUM))) // rows * rows
-        starts = sorted(starts, key=lambda start: abs(start - home))
+def _chunks(grid: np.ndarray, rows: int) -> list[np.ndarray]:
+    """Index runs of up to ``rows`` consecutive grid points for the direct path: the run holding the point
+    nearest PAPER_OPTIMUM first, then the others by distance from it."""
+    home = int(np.argmin(np.abs(grid - PAPER_OPTIMUM))) // rows * rows if len(grid) else 0
+    starts = sorted(range(0, len(grid), rows), key=lambda start: abs(start - home))
     return [np.arange(start, min(start + rows, len(grid))) for start in starts]
 
 
@@ -138,8 +135,8 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     - FPI: c_k = beta e_1 + H g_{k-1}, g_k = (1 - w) g_{k-1} + w c_k;
     - SOR: c_k = (1 - w) c_{k-1} + w (beta e_1 + H g_{k-1}), g_k = (1 - w) g_{k-1} + w c_k.
 
-    RES_k = ||R [-1; c_k]|| / ||b||, with Q R = [b, (A - D) V] grown one column per step. A basis
-    that stops growing spans an invariant space, in which H is exact and the iteration goes on.
+    RES_k = ||R [-1; c_k]|| / norm_b, the direct RES's divisor, with Q R = [b, (A - D) V] grown one column per
+    step. A basis that stops growing spans an invariant space, in which H is exact and the iteration goes on.
 
     The direct iterate and its RES differ from these by rounding, at most about :func:`_margin`'s
     margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound and nu_hat
@@ -186,7 +183,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     if not beta > 0:
         return its, certified  # b = 0: the direct iteration reports it
     d = np.sign(u)
-    norm_b = float(np.linalg.norm(b))
+    norm_b = problem.norm_b
     V, H = np.zeros((1, n)), np.zeros((1, 1))
     Q, R = np.zeros((2, n)), np.zeros((2, 2))
     V[0] = u / beta
@@ -298,10 +295,9 @@ def _sweep(
     |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25). The SOR fallback columns (573 at
     lattice 8, w >= 1.427, RES 0.4 to 6.6 through step 12) stay in the direct path.
     """
-    if method not in ("sor", "fpi"):
-        raise DomainError(f"unknown method '{method}'")
+    check_method(method)
     check_stop_rule(tol, k_max)
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = default_grid() if grid is None else _real(grid, "grid")
     if grid.ndim != 1 or len(grid) == 0:
         raise DomainError("grid must be a nonempty one-dimensional array")
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -315,9 +311,9 @@ def _sweep(
     nu_bound, u, norm_A = start
     prune = argmin and method == "fpi" and len(rest) > 0 and nu_bound is not None and nu_bound < 1 and u.any()
     if prune:  # u = 0 only for b = 0, which the direct iteration reports
-        res_1 = float(np.linalg.norm(u) / np.linalg.norm(problem.b))
+        res_1 = float(np.linalg.norm(u) / problem.norm_b)
     zeros = np.zeros(problem.n)
-    for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n)), argmin):
+    for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n))):
         cols = rest[chunk]
         last = k_max
         if argmin:
@@ -367,7 +363,7 @@ def grid_argmin(
 def domain_curves(nu_grid: np.ndarray) -> list[dict]:
     """Range boundaries per nu: the data behind the convergence-domain figures."""
     rows = []
-    for nu in np.asarray(nu_grid, dtype=np.float64):
+    for nu in _real(nu_grid, "nu grid"):
         r_sor = range_sor_new(nu)
         r_new = range_fpi_new(nu)
         r_old = range_fpi_old(nu)

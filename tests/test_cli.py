@@ -139,6 +139,21 @@ class TestSolve:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert calls == []
 
+    @pytest.mark.parametrize("args", [("solve", "--lattice", "8"), ("bogus",),
+                                      ("sweep", "--lattice", "8", "--method", "fpi", "--kmax", "2.5")],
+                             ids=["no-method", "unknown-command", "float-kmax"])
+    def test_usage_error_exit_1(self, capsys, args):
+        # argparse's own code, 2, is this CLI's code for a grid with no converged point.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == 1
+        assert re.search(r"^ave.*: error: ", capsys.readouterr().err, re.M)
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ave")
+
     @pytest.mark.parametrize("param, shown", [("1e308", "1.0000e+308"), ("1e-320", "9.9999e-321"),
                                               ("1e6", "1.0000e+06"), ("0.00009", "9.0000e-05"),
                                               ("0.0001", "0.0001"), ("999999", "999999.0000"), ("0.5", "0.5000")])

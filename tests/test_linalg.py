@@ -258,6 +258,15 @@ class TestMatvec:
         with pytest.raises(DimensionMismatch):
             matvec(tridiag(-1, 8, 3), np.ones(4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_complex(self):
+        # A cast to float64 kept the real part, [8, -1, -1, 0], with no more than a ComplexWarning.
+        A = gen_lattice(2).A
+        with pytest.raises(DomainError, match="vector must be real, not complex"):
+            matvec(A, np.array([1 + 2j, 0, 0, 0]))
+        with pytest.raises(DomainError, match="vector must be real, not complex"):
+            matvec(A, np.ones((2, 4)) * 1j)
+
     def test_linearity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -313,6 +322,14 @@ class TestFactorize:
         f = factorize(SparseSpdMatrix.from_dense(np.diag([2.0, 4.0])))
         with pytest.raises(DimensionMismatch):
             f.solve(np.ones(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_solve_rejects_complex(self):
+        f = factorize(gen_lattice(4).A)
+        with pytest.raises(DomainError, match="right-hand side must be real, not complex"):
+            f.solve(np.ones(16) + 1j)
+        with pytest.raises(DomainError, match="right-hand side must be real, not complex"):
+            f.solve(np.ones((2, 16), dtype=complex))
 
     def test_block_rows_match_vectors(self):
         problem = gen_lattice(4)

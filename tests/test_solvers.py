@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from avesolve import (
+    DimensionMismatch,
     DomainError,
     SolveConfig,
     SparseSpdMatrix,
@@ -69,6 +70,26 @@ class TestResidual:
         p = gen_lattice(4)
         with pytest.raises(DomainError, match="x must be real"):
             residual(p, p.x_star + 1j)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, params, x0, y0, error, match", [
+        ("fpi", [1.0 + 1e-3j], np.zeros(64), np.zeros(64), DomainError, "parameters must be real, not complex"),
+        ("SOR", [1.0], np.zeros(64), np.zeros(64), DomainError, "unknown method 'SOR'"),  # it ran FPI
+        # Length-1 start vectors broadcast: this call converged in 11 steps.
+        ("sor", [1.0], np.zeros(1), np.full(1, 3.0), DimensionMismatch, r"x0 has shape \(1,\), expected \(64,\)"),
+        ("sor", [1.0], np.zeros(64), np.full(1, 3.0), DimensionMismatch, r"y0 has shape \(1,\), expected \(64,\)"),
+    ], ids=["complex-params", "upper-case-method", "short-x0-y0", "short-y0"])
+    def test_iterate_block_rejects_bad_input(self, lattice8, method, params, x0, y0, error, match):
+        p, f = lattice8
+        with pytest.raises(error, match=match):
+            solvers.iterate_block(p, f, method, params, 1e-8, 100, x0, y0)
+
+    def test_iterate_block_rejects_factor_of_other_size(self, lattice8):
+        # The factor's own solve rejects the block at the first step.
+        p, _ = lattice8
+        zeros = np.zeros(p.n)
+        with pytest.raises(DimensionMismatch, match=r"right-hand side has shape \(1, 64\), expected \(16,\)"):
+            solvers.iterate_block(p, factorize(gen_lattice(4).A), "fpi", [1.0], 1e-8, 100, zeros, zeros)
 
 
 class TestSolveConfig:

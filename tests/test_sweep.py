@@ -106,9 +106,12 @@ class TestGridSearch:
         assert result.iterations.tolist() == [result.sentinel]
         assert grid_argmin(p, "sor", grid=np.array([1.99]), f=f) is None
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_grid(self, lattice8):
         p, f = lattice8
         for search in (grid_search, grid_argmin):
+            with pytest.raises(DomainError, match="grid must be real, not complex"):
+                search(p, "fpi", grid=np.array([0.5, 1.0 + 1e-3j]), f=f)
             with pytest.raises(DomainError):
                 search(p, "sor", grid=np.array([0.5, 0.4]), f=f)
             with pytest.raises(DomainError):
