@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .errors import AveError, DomainError
-from .linalg import estimate_inv_norm, factorize
+from .linalg import estimate_inv_norm, factorize, gershgorin_interval
 from .params import ParamEnvelope, _check_positive
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, check_stop_rule, solve_fpi, solve_sor_like
@@ -245,7 +245,9 @@ def cmd_bench(args) -> int:
         try:
             problem = _load_problem(lattice, matrix and _resolve_matrix(matrix, matrix_dir))
             f = factorize(problem.A)
-            nu = estimate_inv_norm(problem.A, f=f)
+            # A Gershgorin bound lo >= 4 gives nu <= 1/lo <= 1/4, where omega_Chen is 1 (params.chen_opt_omega).
+            lo = gershgorin_interval(problem.A)[0]
+            nu = 1.0 / lo if lo >= 4.0 else estimate_inv_norm(problem.A, f=f)
         except _FAILURES as exc:
             print(f"notice: {prob_name}: {exc}, row skipped", file=sys.stderr)
             continue

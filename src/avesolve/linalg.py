@@ -313,13 +313,13 @@ def _spd_lu(A: SparseSpdMatrix):
 
     A diagonally dominant A is SPD by proof; any other A pays :func:`_first_bad_pivot`'s read-back.
     """
+    lo, hi = gershgorin_interval(A)  # read first, so that its temporaries never stack on the live factor
     try:
         lu = _symmetric_splu(A.csr, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         raise NotPositiveDefinite(_singular_pivot(A)) from None
-    lo, hi = gershgorin_interval(A)
     if lo > _DOMINANCE_C * A.n * np.finfo(np.float64).eps * hi:
         # The computed lo is within n*eps*hi of the exact one, so A is strictly diagonally dominant by over
         # 3n*eps*hi. Each Schur complement keeps every row's dominance margin, so each exact pivot is at least

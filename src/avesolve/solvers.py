@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .linalg import FactorHandle, _real, _vector, matvec
 from .params import _check_positive
 from .problems import AveProblem
@@ -83,11 +83,13 @@ def _residuals(problem: AveProblem, X: np.ndarray) -> np.ndarray:
     """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X; DomainError for b = 0.
 
     No vector reduction here uses BLAS: ||b|| is the problem's norm_b, a :func:`avesolve.linalg._norm`
-    taken once per problem, and the row norms are numpy's own sums. Only the factor-solves use BLAS threads.
+    taken once per problem, and each row norm is sqrt(np.add.reduce(r * r)), numpy's own pairwise sum, the
+    arithmetic np.linalg.norm(R, axis=1) does for real R, bit for bit. Only the factor-solves use BLAS threads.
     """
     if problem.norm_b == 0.0:
         raise DomainError("relative residual undefined for b = 0")
-    return np.linalg.norm(matvec(problem.A, X) - np.abs(X) - problem.b, axis=1) / problem.norm_b
+    R = matvec(problem.A, X) - np.abs(X) - problem.b
+    return np.sqrt(np.add.reduce(R * R, axis=1)) / problem.norm_b
 
 
 def residual(problem: AveProblem, x: np.ndarray) -> float:
@@ -112,15 +114,18 @@ def iterate_block(
     that makes x or y non-finite (diverged), brings RES to at most tol
     (converged) or is the k_max-th; stopped columns are dropped from the
     block, so they cost no further work. The caller bounds the block's size
-    (the sweep module runs a grid in chunks). Method, real parameters and start
-    vectors of length n are checked here; the parameters' range, tol and k_max
-    by the callers (SolveConfig, the sweep module), which start from zero.
+    (the sweep module runs a grid in chunks). Method, real parameters (a
+    nonempty 1-D array) and start vectors of length n are checked here; the
+    parameters' range, tol and k_max by the callers (SolveConfig, the sweep
+    module), which start from zero.
     ``observe(X, Y, res)``, when given, sees the rows still running after
     every update, before any stop.
     """
     check_method(method)
     sor = method == "sor"
     params = _real(params, "parameters")
+    if params.ndim != 1 or len(params) == 0:
+        raise DimensionMismatch(f"parameters have shape {params.shape}, expected a nonempty (p,)")
     p = len(params)
     stopped_at = np.zeros(p, dtype=np.int64)
     converged = np.zeros(p, dtype=bool)
@@ -128,14 +133,15 @@ def iterate_block(
     res_out = np.full(p, np.nan)
     cols = np.arange(p)
     w = params[:, None]
+    v = 1.0 - w
     X = np.tile(_vector(x0, problem.n, "x0"), (p, 1))
     Y = np.tile(_vector(y0, problem.n, "y0"), (p, 1))
     # Diverging columns overflow on purpose; they are caught by the finiteness test.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, k_max + 1):
             Z = f.solve(Y + problem.b)
-            X = (1.0 - w) * X + w * Z if sor else Z
-            Y = (1.0 - w) * Y + w * np.abs(X)
+            X = v * X + w * Z if sor else Z
+            Y = v * Y + w * np.abs(X)
             res = _residuals(problem, X)
             if observe is not None:
                 observe(X, Y, res)
@@ -152,7 +158,7 @@ def iterate_block(
             keep = ~stop
             if not keep.any():
                 break
-            cols, w, X, Y = cols[keep], w[keep], X[keep], Y[keep]
+            cols, w, v, X, Y = cols[keep], w[keep], v[keep], X[keep], Y[keep]
     return BlockStops(stopped_at, converged, diverged, res_out)
 
 

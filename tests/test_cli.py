@@ -336,21 +336,35 @@ class TestBench:
         assert matrix["SORLno"][3] == "15"
         assert matrix["FPIno"][3] == "12"
 
-    def test_nu_just_above_quarter_keeps_every_row(self, tmp_path, capsys):
+    def test_nu_just_above_quarter_keeps_every_row(self, tmp_path, monkeypatch, capsys):
         # nu = 0.25000001: the prior-work optimum lies within 1e-7 of 1.
         path = tmp_path / "M.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 3.99999984\n")
         rc, out = run_main(capsys, "ranges", "--matrix", str(path), "--format", "json")
         assert rc == 0
         assert 1 - 1e-7 < json.loads(out)["omega_chen_opt"] <= 1
+        # Lattice 4's Gershgorin bound lo = 4 settles omega_Chen = 1; this file's lo = 3.99999984 does not.
+        estimate, estimated = cli.estimate_inv_norm, []
+
+        def spy(A, f=None):
+            estimated.append(A.n)
+            return estimate(A, f=f)
+
+        monkeypatch.setattr(cli, "estimate_inv_norm", spy)
         rc, out = run_main(capsys, "bench", "--lattice", "4", "--matrix", str(path), "--format", "csv")
         assert rc == 0
+        assert estimated == [1]
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 10
         assert {row[1]: row[2] for row in rows if row[0] == str(path)}["SORLopt"] == "1.0000"
 
-    def test_lattice8_json_matches_golden_file(self, capsys):
-        # tests/data holds `ave bench --lattice 8 --format json` with its timings (cpu) removed.
+    def test_lattice8_json_matches_golden_file(self, monkeypatch, capsys):
+        # tests/data holds `ave bench --lattice 8 --format json` with its timings (cpu) removed. Lattice 8's
+        # Gershgorin bound lo = 4 gives nu <= 1/4, so omega_Chen = 1 is taken without estimating nu.
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("nu estimated")
+
+        monkeypatch.setattr(cli, "estimate_inv_norm", no_estimate)
         rc, out = run_main(capsys, "bench", "--lattice", "8", "--format", "json")
         assert rc == 0
         rows = [{k: v for k, v in row.items() if k != "cpu"} for row in json.loads(out)]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avesolve import (
     DomainError,
     ParamEnvelope,
+    SparseSpdMatrix,
     check_kema_condition,
     chen_opt_omega,
     fpi_least_steps,
@@ -20,7 +22,26 @@ from avesolve import (
     rho_U,
     rho_W,
 )
+from avesolve.linalg import estimate_inv_norm, gershgorin_interval
 from avesolve.params import _g1
+
+
+def _dominant_by_four(args):
+    """M symmetrized, with each row's off-diagonal absolute sum plus 4 plus that row's extra on the diagonal."""
+    M, extra = args
+    S = (M + M.T) / 2
+    np.fill_diagonal(S, 0.0)
+    return S + np.diag(np.abs(S).sum(axis=1) + 4.0 + extra)
+
+
+# Symmetric, strictly diagonally dominant, Gershgorin lower bound lo >= 4. An extra of 0 in every row
+# of a block can put lambda_min at 4 exactly: [[5, -1], [-1, 5]] has eigenvalues 4 and 6.
+dominant_by_four = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+        hnp.arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+    )
+).map(_dominant_by_four)
 
 
 def explicit_W(omega, nu):
@@ -237,6 +258,23 @@ class TestChenOptOmega:
         omega = chen_opt_omega(nu)
         assert 0 < omega <= 1
         assert _g1(max(0.0, omega - 1e-10), nu) <= 0 < _g1(min(1.0, omega + 1e-10), nu)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dominant_by_four)
+    @example(np.array([[4.375, -0.375], [-0.375, 4.375]]))
+    def test_gershgorin_bound_of_four_settles_it(self, dense):
+        # `bench` takes omega_Chen = chen_opt_omega(1/lo) = 1 from lo >= 4, where nu <= 1/4, instead of
+        # estimating nu. The estimate gives 1 too unless lambda_min is 4 to rounding (the example: nu = 1/4
+        # exactly, estimated an ulp above it), where chen_opt_omega is within its 1e-10 tolerance of 1.
+        A = SparseSpdMatrix.from_dense(dense)
+        lo = gershgorin_interval(A)[0]
+        assume(lo >= 4)  # the diagonal's rounding can leave lo an ulp below 4
+        assert chen_opt_omega(1 / lo) == 1.0
+        omega = chen_opt_omega(estimate_inv_norm(A))
+        if np.linalg.eigvalsh(dense)[0] > 4 + 1e-12:
+            assert omega == 1.0
+        else:
+            assert 1 - 1e-10 < omega <= 1
 
 
 class TestParamEnvelope:

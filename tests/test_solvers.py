@@ -78,7 +78,13 @@ class TestResidual:
         # Length-1 start vectors broadcast: this call converged in 11 steps.
         ("sor", [1.0], np.zeros(1), np.full(1, 3.0), DimensionMismatch, r"x0 has shape \(1,\), expected \(64,\)"),
         ("sor", [1.0], np.zeros(64), np.full(1, 3.0), DimensionMismatch, r"y0 has shape \(1,\), expected \(64,\)"),
-    ], ids=["complex-params", "upper-case-method", "short-x0-y0", "short-y0"])
+        # A bare TypeError (len() of unsized object), then two broadcasting ValueErrors.
+        ("fpi", 1.0, np.zeros(64), np.zeros(64), DimensionMismatch, r"parameters have shape \(\),"),
+        ("sor", [[1.0, 0.9]], np.zeros(64), np.zeros(64), DimensionMismatch, r"parameters have shape \(1, 2\),"),
+        ("sor", np.ones((2, 1)), np.zeros(64), np.zeros(64), DimensionMismatch, r"parameters have shape \(2, 1\),"),
+        ("fpi", [], np.zeros(64), np.zeros(64), DimensionMismatch, r"parameters have shape \(0,\),"),  # ran 100 steps
+    ], ids=["complex-params", "upper-case-method", "short-x0-y0", "short-y0", "scalar-params", "row-params",
+            "column-params", "no-params"])
     def test_iterate_block_rejects_bad_input(self, lattice8, method, params, x0, y0, error, match):
         p, f = lattice8
         with pytest.raises(error, match=match):
