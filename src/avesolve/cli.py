@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from .errors import AveError, DomainError
-from .linalg import estimate_inv_norm, factorize, gershgorin_interval
-from .params import ParamEnvelope, _check_positive
+from .linalg import estimate_inv_norm, factorize
+from .params import PAPER_OPTIMUM, ParamEnvelope, _check_positive
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, check_stop_rule, solve_fpi, solve_sor_like
 from .sweep import domain_curves, grid_argmin, grid_search
@@ -153,9 +153,9 @@ def _emit(args, data, columns) -> None:
 
 
 def _param(spec, problem, f, method, args) -> float | None:
-    """'optimal' (= 1), 'grid' (the sweep's best point, None if no grid point converged) or a number."""
+    """'optimal' (PAPER_OPTIMUM = 1), 'grid' (the sweep's best point, None if no grid point converged) or a number."""
     if spec == "optimal":
-        return 1.0
+        return PAPER_OPTIMUM
     if spec == "grid":
         best = grid_argmin(problem, method, tol=args.tol, k_max=args.kmax, f=f)
         return None if best is None else best[0]
@@ -246,7 +246,7 @@ def cmd_bench(args) -> int:
             problem = _load_problem(lattice, matrix and _resolve_matrix(matrix, matrix_dir))
             f = factorize(problem.A)
             # A Gershgorin bound lo >= 4 gives nu <= 1/lo <= 1/4, where omega_Chen is 1 (params.chen_opt_omega).
-            lo = gershgorin_interval(problem.A)[0]
+            lo = problem.A.gershgorin[0]
             nu = 1.0 / lo if lo >= 4.0 else estimate_inv_norm(problem.A, f=f)
         except _FAILURES as exc:
             print(f"notice: {prob_name}: {exc}, row skipped", file=sys.stderr)

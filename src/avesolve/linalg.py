@@ -39,7 +39,7 @@ factorization.
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -133,14 +133,16 @@ class SparseSpdMatrix:
         same = all(map(np.array_equal, (csr.indptr, csr.indices, csr.data), (t.indptr, t.indices, t.data)))
         if not same and (csr != csr.T).nnz != 0:
             raise SymmetryError("stored pattern/values are not symmetric")
-        diag = csr.diagonal()
-        if np.any(diag <= 0):
+        if np.any(csr.diagonal() <= 0):
             raise DomainError("every diagonal entry must be stored and positive")
         for name, array in [("csr", csr), ("row_ptr", csr.indptr), ("col_idx", csr.indices), ("values", csr.data)]:
             object.__setattr__(self, name, array)
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseSpdMatrix":
+        shape = np.shape(mat)  # a 1-D array would become one row, and a wide one lose its extra columns
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatch(f"matrix has shape {shape}, expected (n, n)")
         csr = sp.csr_matrix(mat)  # a csr mat's own arrays, which the constructor copies once
         if not (csr.has_canonical_format and csr.data.all()):
             csr = csr.copy()  # canonicalized in place below, so never mat's own arrays
@@ -157,6 +159,14 @@ class SparseSpdMatrix:
 
     def _rows(self) -> np.ndarray:  # the row index of every stored entry, aligned with col_idx and values
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+
+    @functools.cached_property
+    def gershgorin(self) -> tuple[float, float]:
+        """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|, taken once: every eigenvalue lies in [lo, hi]."""
+        rows = self._rows()
+        on_diag = rows == self.col_idx
+        off = np.bincount(rows[~on_diag], weights=np.abs(self.values[~on_diag]), minlength=self.n)
+        return float(np.min(self.values[on_diag] - off)), float(np.max(self.values[on_diag] + off))
 
 
 @dataclass(frozen=True)
@@ -311,9 +321,9 @@ def _first_bad_pivot(lu, floor: np.ndarray) -> int | None:
 def _spd_lu(A: SparseSpdMatrix):
     """SuperLU factor of A, checked to be P A P^T = L D L^T with D > 0.
 
-    A diagonally dominant A is SPD by proof; any other A pays :func:`_first_bad_pivot`'s read-back.
+    A diagonally dominant A (``A.gershgorin``) is SPD by proof; any other A pays :func:`_first_bad_pivot`'s read-back.
     """
-    lo, hi = gershgorin_interval(A)  # read first, so that its temporaries never stack on the live factor
+    lo, hi = A.gershgorin  # read first, so that its temporaries never stack on the live factor
     try:
         lu = _symmetric_splu(A.csr, "MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -367,9 +377,9 @@ def _shifted(A: SparseSpdMatrix, sigma: float) -> SparseSpdMatrix:
     """
     values = A.values.copy()
     values[A._rows() == A.col_idx] -= sigma
-    shifted = copy.copy(A)
-    object.__setattr__(shifted, "csr", sp.csr_matrix((values, A.col_idx, A.row_ptr), shape=(A.n, A.n)))
-    object.__setattr__(shifted, "values", shifted.csr.data)
+    csr = sp.csr_matrix((values, A.col_idx, A.row_ptr), shape=(A.n, A.n))
+    shifted = object.__new__(SparseSpdMatrix)  # not a copy of A, whose cached interval would carry over
+    vars(shifted).update(n=A.n, row_ptr=A.row_ptr, col_idx=A.col_idx, values=csr.data, csr=csr)
     return shifted
 
 
@@ -392,22 +402,14 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
         margin = max(4.0 * margin, abs(shift) * 1e-15, np.finfo(np.float64).tiny)
 
 
-def gershgorin_interval(A: SparseSpdMatrix) -> tuple[float, float]:
-    """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|: every eigenvalue of A lies in [lo, hi]."""
-    rows = A._rows()
-    on_diag = rows == A.col_idx
-    off = np.bincount(rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
-    return float(np.min(A.values[on_diag] - off)), float(np.max(A.values[on_diag] + off))
-
-
-def inv_norm_bound(A: SparseSpdMatrix, lo: float) -> float | None:
+def inv_norm_bound(A: SparseSpdMatrix) -> float | None:
     """An upper bound on nu = ||A^{-1}||_2 where a cheap one exists, else None.
 
-    lo is A's Gershgorin lower bound on lambda_min(A) (:func:`gershgorin_interval`), which the caller
-    has at hand. lo >= 1 gives nu <= 1/lo, with no factorization. Below that, when every diagonal entry
-    exceeds 1, one factorization tests whether A - I is SPD, that is nu < 1 (to rounding); failing
-    that, a positive lo still gives 1/lo.
+    lo, the lower end of ``A.gershgorin``, bounds lambda_min(A) from below: lo >= 1 gives nu <= 1/lo, with
+    no factorization. Below that, when every diagonal entry exceeds 1, one factorization tests whether
+    A - I is SPD, that is nu < 1 (to rounding); failing that, a positive lo still gives 1/lo.
     """
+    lo = A.gershgorin[0]
     if lo < 1 < A.csr.diagonal().min():
         try:
             factorize(_shifted(A, 1.0))
@@ -450,7 +452,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> floa
     part orthogonal to v is the previous step's direction (LOBPCG with block
     size 1, Knyazev 2001). The next v is the smallest Ritz vector.
 
-    - The first shift is the Gershgorin lower bound
+    - The first shift is the Gershgorin lower bound (``A.gershgorin``)
       sigma0 = min_i(a_ii - sum_{j != i} |a_ij|) <= lambda_min(A). When
       sigma0 > 0 (A is then SPD), the first factorization is of A - sigma*I,
       sigma 8n*eps*hi below sigma0 (hi the Gershgorin upper bound; sigma0 if
@@ -483,7 +485,7 @@ def estimate_inv_norm(A: SparseSpdMatrix, f: FactorHandle | None = None) -> floa
     """
     if f is not None and f.n != A.n:
         raise DimensionMismatch("factorization dimension differs from matrix dimension")
-    shift, hi = gershgorin_interval(A)
+    shift, hi = A.gershgorin
     margin = 0.0
     if shift > 0:
         # Backed off by twice the dominance margin, A - sigma*I is provably SPD in _spd_lu too. A margin

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+# The analytical optimum of both iterations, omega = tau = 1, where `--param optimal` solves and the sweep starts.
+PAPER_OPTIMUM = 1.0
+
 
 @dataclass(frozen=True)
 class ParamRange:
@@ -122,15 +125,15 @@ def fpi_least_steps(tau: float, nu: float, res_1: float, tol: float) -> float:
 
 
 def optimal_sor(nu: float) -> float:
-    """Minimizer of g_nu over the new SOR range; identically 1."""
+    """Minimizer of g_nu over the new SOR range; identically PAPER_OPTIMUM."""
     _check_nu(nu)
-    return 1.0
+    return PAPER_OPTIMUM
 
 
 def optimal_fpi(nu: float) -> float:
-    """Minimizer of rho(U) over the new FPI range; identically 1."""
+    """Minimizer of rho(U) over the new FPI range; identically PAPER_OPTIMUM."""
     _check_nu(nu)
-    return 1.0
+    return PAPER_OPTIMUM
 
 
 def _g1(omega: float, nu: float) -> float:

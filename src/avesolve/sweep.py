@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import FactorHandle, _real, factorize, gershgorin_interval, inv_norm_bound, matvec
-from .params import fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
+from .linalg import FactorHandle, _real, factorize, inv_norm_bound, matvec
+from .params import PAPER_OPTIMUM, fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
 from .problems import AveProblem
 from .solvers import check_method, check_stop_rule, iterate_block
 
@@ -64,10 +64,6 @@ BLOCK_BYTES = 128 * 2**10
 # The Krylov sign check forms the iterate of one anchor column per run of this many neighbouring running
 # columns; the others pass on a bound from their anchor's iterate and are formed only where it misses.
 ANCHOR_RUN = 16
-
-# The analytical optimum of both iterations, omega = tau = 1: the direct path visits the chunk of grid points
-# nearest it first.
-PAPER_OPTIMUM = 1.0
 
 _EPS = np.finfo(np.float64).eps
 # A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
@@ -107,13 +103,12 @@ def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, np.ndarray | None, float | None]:
     """(nu_hat, u = A^{-1} b, ||A||), what both the Krylov pass and the FPI floor start from: an upper bound
-    on nu (:func:`avesolve.linalg.inv_norm_bound`) and, where there is one, the solve and the Gershgorin
-    bound on ||A||; (None, None, None) without."""
-    lo, hi = gershgorin_interval(problem.A)
-    nu_bound = inv_norm_bound(problem.A, lo)
+    on nu (:func:`avesolve.linalg.inv_norm_bound`) and, where there is one, the solve and the upper end of
+    ``A.gershgorin``, which inv_norm_bound has read, as the bound on ||A||; (None, None, None) without."""
+    nu_bound = inv_norm_bound(problem.A)
     if nu_bound is None:
         return None, None, None
-    return nu_bound, f.solve(problem.b), hi
+    return nu_bound, f.solve(problem.b), problem.A.gershgorin[1]
 
 
 def _margin(k: int, nu_bound: float, norm_A: float, norm_x: float | np.ndarray, norm_b: float) -> float | np.ndarray:

@@ -83,6 +83,15 @@ class TestSparseSpdMatrix:
         with pytest.raises(DomainError, match="real, not complex"):
             SparseSpdMatrix(2, np.array([0, 1, 2]), np.array([0, 1]), np.array([4 + 0j, 4]))
 
+    @pytest.mark.parametrize("build, mat, shape", [
+        (SparseSpdMatrix.from_dense, np.eye(2, 3), r"\(2, 3\)"),  # was the 2 x 2 identity
+        (SparseSpdMatrix.from_scipy, sp.eye(2, 3), r"\(2, 3\)"),  # was the 2 x 2 identity
+        (SparseSpdMatrix.from_dense, [1.0, 2.0], r"\(2,\)"),  # was "column indices out of range"
+    ], ids=["dense", "scipy", "vector"])
+    def test_rejects_non_square_naming_shape(self, build, mat, shape):
+        with pytest.raises(DimensionMismatch, match=rf"^matrix has shape {shape}, expected \(n, n\)$"):
+            build(mat)
+
     def test_rejects_bad_row_ptr(self):
         with pytest.raises(DomainError):
             SparseSpdMatrix(2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
@@ -522,6 +531,17 @@ def test_panel_size_within_superlu_statistics():
     assert type(linalg._PANEL_SIZE) is int and 1 <= linalg._PANEL_SIZE <= 20
 
 
+def test_shifted_copy_takes_its_own_interval(sparse_branch):
+    # Lattice 16 has the interval (4, 12) and lambda_min = 8 - 4 cos(pi/17) < 5, so A - 5I is indefinite, with
+    # the interval (-1, 7). Were A's cached interval carried over, _spd_lu would take A - 5I as SPD by dominance.
+    A = gen_lattice(16).A
+    assert A.gershgorin == (4.0, 12.0)
+    with pytest.raises(NotPositiveDefinite):
+        factorize(linalg._shifted(A, 5.0))
+    shifted = linalg._shifted(A, 5.0)
+    assert shifted.gershgorin == SparseSpdMatrix(A.n, A.row_ptr, A.col_idx, shifted.values).gershgorin == (-1.0, 7.0)
+
+
 def _symmetric_positive_diagonal(M):
     S = (M + M.T) / 2
     np.fill_diagonal(S, np.abs(np.diag(S)) + 0.05)
@@ -554,6 +574,16 @@ def test_both_branches_agree_on_spd_and_reject_indefinite(dense):
     if spd:
         band, lu = solves
         assert np.linalg.norm(band - lu) <= 1e-10 * np.linalg.norm(band)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_symmetric, near_dominant))
+def test_gershgorin_interval_holds_the_spectrum(dense):
+    A = SparseSpdMatrix.from_dense(dense)
+    lo, hi = A.gershgorin
+    lam = np.linalg.eigvalsh(dense)
+    slack = 4 * A.n * np.finfo(np.float64).eps * np.abs(lam).max()  # eigvalsh's rounding
+    assert lo <= lam[0] + slack and lam[-1] <= hi + slack
 
 
 class TestEstimateInvNorm:
@@ -746,25 +776,21 @@ def test_estimate_inv_norm_matches_eigvalsh(dense):
             assert abs(estimate_inv_norm(A) - expected) <= 1e-6 * expected
 
 
-def _inv_norm_bound(A):
-    return linalg.inv_norm_bound(A, linalg.gershgorin_interval(A)[0])
-
-
 class TestInvNormBound:
     def test_cases(self, tref200b, factorize_calls):
         # Lattice 8: Gershgorin lo = 4, no factorization. Trefethen_200b: lo = -5, and A - I factorizes.
-        assert _inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
-        assert _inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
+        assert linalg.inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
+        assert linalg.inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
         # Lattice 8 scaled by 0.1: lambda_min 0.42 < 1, so A - I is not SPD; lo = 0.4 still bounds it.
-        assert _inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
+        assert linalg.inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
         # lo = 0 and lambda_min < 1: no cheap bound.
-        assert _inv_norm_bound(tridiag(-1, 2, 10)) is None
+        assert linalg.inv_norm_bound(tridiag(-1, 2, 10)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(random_spd_kinds, st.sampled_from([1.0, 20.0]))
     def test_bounds_nu(self, dense, scale):
         A = SparseSpdMatrix.from_dense(scale * dense)
-        bound = _inv_norm_bound(A)
+        bound = linalg.inv_norm_bound(A)
         assert bound is None or bound >= (1 - 1e-9) * dense_inv_norm(A)
 
 

@@ -22,7 +22,7 @@ from avesolve import (
     rho_U,
     rho_W,
 )
-from avesolve.linalg import estimate_inv_norm, gershgorin_interval
+from avesolve.linalg import estimate_inv_norm
 from avesolve.params import _g1
 
 
@@ -267,7 +267,7 @@ class TestChenOptOmega:
         # estimating nu. The estimate gives 1 too unless lambda_min is 4 to rounding (the example: nu = 1/4
         # exactly, estimated an ulp above it), where chen_opt_omega is within its 1e-10 tolerance of 1.
         A = SparseSpdMatrix.from_dense(dense)
-        lo = gershgorin_interval(A)[0]
+        lo = A.gershgorin[0]
         assume(lo >= 4)  # the diagonal's rounding can leave lo an ulp below 4
         assert chen_opt_omega(1 / lo) == 1.0
         omega = chen_opt_omega(estimate_inv_norm(A))

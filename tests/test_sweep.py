@@ -1,4 +1,5 @@
 import cProfile
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from avesolve import (
     DomainError,
     SolveConfig,
+    SparseSpdMatrix,
     alternating_xstar,
     build_rhs,
     default_grid,
@@ -25,7 +27,7 @@ from avesolve import (
     solve_fpi,
     solve_sor_like,
 )
-from avesolve import solvers, sweep
+from avesolve import cli, solvers, sweep
 from conftest import random_ave_problems
 
 
@@ -168,7 +170,7 @@ class TestGridArgmin:
         # bound on nu, so no column certified and no floor), the capped direct chunks take about 22k.
         p, f = lattice8
         if direct:
-            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A, lo: None)
+            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A: None)
         columns = []
         solve = linalg.FactorHandle.solve
 
@@ -226,20 +228,24 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
         assert len(set(its[certified & (its <= k_max)].tolist())) <= 1
 
 
-def test_krylov_start_takes_the_gershgorin_interval_once(monkeypatch):
-    # inv_norm_bound gets the lower end from _krylov_start, which keeps the upper end as the bound on ||A||.
-    calls = []
-    interval = linalg.gershgorin_interval
+def test_bench_takes_the_gershgorin_interval_once_per_matrix(monkeypatch, capsys):
+    # Lattice 8's A.gershgorin is read by cmd_bench's omega_Chen shortcut and, through inv_norm_bound, by the
+    # _krylov_start of both grid searches, which keeps its upper end as the bound on ||A||. It is computed once.
+    computed, starts = [], []
+    interval = SparseSpdMatrix.gershgorin.func
 
     def counted(A):
-        calls.append(A)
+        computed.append(A)
         return interval(A)
 
-    monkeypatch.setattr(linalg, "gershgorin_interval", counted)
-    monkeypatch.setattr(sweep, "gershgorin_interval", counted)
-    problem = gen_lattice(8)
-    nu_bound, _, norm_A = sweep._krylov_start(problem, factorize(problem.A))
-    assert (nu_bound, norm_A, len(calls)) == (0.25, 12.0, 1)
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(SparseSpdMatrix, "gershgorin")
+    monkeypatch.setattr(SparseSpdMatrix, "gershgorin", counted_property)
+    krylov_start = sweep._krylov_start
+    monkeypatch.setattr(sweep, "_krylov_start", lambda *args: starts.append(krylov_start(*args)) or starts[-1])
+    assert cli.main(["bench", "--lattice", "8"]) == 0
+    assert len(computed) == 1
+    assert [(nu_bound, norm_A) for nu_bound, _, norm_A in starts] == [(0.25, 12.0)] * 2
 
 
 def _lattice8_scaled():
