@@ -162,11 +162,33 @@ class SparseSpdMatrix:
 
     @functools.cached_property
     def gershgorin(self) -> tuple[float, float]:
-        """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|, taken once: every eigenvalue lies in [lo, hi]."""
-        rows = self._rows()
-        on_diag = rows == self.col_idx
-        off = np.bincount(rows[~on_diag], weights=np.abs(self.values[~on_diag]), minlength=self.n)
-        return float(np.min(self.values[on_diag] - off)), float(np.max(self.values[on_diag] + off))
+        """(lo, hi), min_i and max_i of a_ii -/+ sum_{j != i} |a_ij|, taken once: every eigenvalue lies in [lo, hi].
+
+        The off-diagonal sums are one product of |A|, its diagonal zeroed in place (every diagonal entry is
+        stored), with a vector of ones: csr_matvec adds each row's entries in stored order from 0, and 1 * x
+        and x + 0 are exact, so every sum has the bits of a sequential sum of the off-diagonal |a_ij|.
+        """
+        magnitudes = sp.csr_matrix((np.abs(self.values), self.col_idx, self.row_ptr), shape=(self.n, self.n))
+        magnitudes.setdiag(0.0)
+        diag, off = self.csr.diagonal(), magnitudes @ np.ones(self.n)
+        return float(np.min(diag - off)), float(np.max(diag + off))
+
+    @functools.cached_property
+    def inv_norm_bound(self) -> float | None:
+        """An upper bound on nu = ||A^{-1}||_2 where a cheap one exists, else None; taken once.
+
+        lo, the lower end of ``gershgorin``, bounds lambda_min(A) from below: lo >= 1 gives nu <= 1/lo, with
+        no factorization. Below that, when every diagonal entry exceeds 1, one factorization tests whether
+        A - I is SPD, that is nu < 1 (to rounding); failing that, a positive lo still gives 1/lo.
+        """
+        lo = self.gershgorin[0]
+        if lo < 1 < self.csr.diagonal().min():
+            try:
+                factorize(_shifted(self, 1.0))
+                return 1.0
+            except NotPositiveDefinite:
+                pass
+        return 1.0 / lo if lo > 0 else None
 
 
 @dataclass(frozen=True)
@@ -400,23 +422,6 @@ def _factorize_below(A: SparseSpdMatrix, shift: float, margin: float) -> FactorH
             except NotPositiveDefinite:
                 pass
         margin = max(4.0 * margin, abs(shift) * 1e-15, np.finfo(np.float64).tiny)
-
-
-def inv_norm_bound(A: SparseSpdMatrix) -> float | None:
-    """An upper bound on nu = ||A^{-1}||_2 where a cheap one exists, else None.
-
-    lo, the lower end of ``A.gershgorin``, bounds lambda_min(A) from below: lo >= 1 gives nu <= 1/lo, with
-    no factorization. Below that, when every diagonal entry exceeds 1, one factorization tests whether
-    A - I is SPD, that is nu < 1 (to rounding); failing that, a positive lo still gives 1/lo.
-    """
-    lo = A.gershgorin[0]
-    if lo < 1 < A.csr.diagonal().min():
-        try:
-            factorize(_shifted(A, 1.0))
-            return 1.0
-        except NotPositiveDefinite:
-            pass
-    return 1.0 / lo if lo > 0 else None
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:

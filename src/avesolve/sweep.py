@@ -21,8 +21,12 @@ searches share this:
   least step at which a certified column converges. A direct chunk runs at
   most k* steps if it starts before the grid point attaining k* (it can still
   tie and win on index), at most k* - 1 if it starts after it, and not at all
-  when that is 0. For FPI with nu_hat < 1 it first drops the points whose RES
-  floor (:func:`avesolve.params.fpi_least_steps`) stays above tol that long.
+  when that is 0. It first drops the points that cannot converge that soon:
+  for FPI with nu_hat < 1 those whose RES floor
+  (:func:`avesolve.params.fpi_least_steps`) stays above tol that long, and for
+  either method, where A^{-1} fits one block (n <= 128), those whose RES stays
+  above tol on an iterate formed with a dense inverse, less a bound on its
+  error that the paper's W (U for FPI) propagates (:func:`_screen`).
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -35,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import FactorHandle, _real, factorize, inv_norm_bound, matvec
+from .linalg import FactorHandle, _norm, _real, factorize, matvec
 from .params import PAPER_OPTIMUM, fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
 from .problems import AveProblem
-from .solvers import check_method, check_stop_rule, iterate_block
+from .solvers import _residuals, check_method, check_stop_rule, iterate_block
 
 
 def default_grid() -> np.ndarray:
@@ -64,6 +68,11 @@ BLOCK_BYTES = 128 * 2**10
 # The Krylov sign check forms the iterate of one anchor column per run of this many neighbouring running
 # columns; the others pass on a bound from their anchor's iterate and are formed only where it misses.
 ANCHOR_RUN = 16
+
+# The dense-inverse screen (_screen) forms each p x n by n x n product in pieces of at most this many
+# multiply-adds, below which OpenBLAS runs a gemm on one thread: a woken second thread would spin through the
+# rest of the step, and a 256-row piece at n = 64 took 18 ms of CPU for 9.7 ms of wall time.
+_ONE_THREAD_MADDS = 2**18
 
 _EPS = np.finfo(np.float64).eps
 # A column whose (1 + w)(||A|| + 1)||coefficients|| reaches this leaves the certified path: below it,
@@ -102,10 +111,10 @@ def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, np.ndarray | None, float | None]:
-    """(nu_hat, u = A^{-1} b, ||A||), what both the Krylov pass and the FPI floor start from: an upper bound
-    on nu (:func:`avesolve.linalg.inv_norm_bound`) and, where there is one, the solve and the upper end of
-    ``A.gershgorin``, which inv_norm_bound has read, as the bound on ||A||; (None, None, None) without."""
-    nu_bound = inv_norm_bound(problem.A)
+    """(nu_hat, u = A^{-1} b, ||A||), what the Krylov pass, the FPI floor and the screen start from: an upper
+    bound on nu (``A.inv_norm_bound``, taken once per matrix) and, where there is one, the solve and the upper
+    end of ``A.gershgorin``, which inv_norm_bound has read, as the bound on ||A||; (None, None, None) without."""
+    nu_bound = problem.A.inv_norm_bound
     if nu_bound is None:
         return None, None, None
     return nu_bound, f.solve(problem.b), problem.A.gershgorin[1]
@@ -135,7 +144,7 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     The direct iterate and its RES differ from these by rounding, at most about :func:`_margin`'s
     margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound and nu_hat
-    the larger of 1 and an upper bound on nu = ||A^{-1}|| (:func:`avesolve.linalg.inv_norm_bound`):
+    the larger of 1 and an upper bound on nu = ||A^{-1}|| (``A.inv_norm_bound``):
     each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||, and the
     rounding of a residual. Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the
     differences in x and in RES near tol stay below 4 % of that. Without a bound on nu no column is
@@ -264,6 +273,91 @@ def _beyond_floor(taus: np.ndarray, cap: int, tol: float, nu_bound: float, res_1
     return pruned
 
 
+def _dense_inverse(problem: AveProblem, f: FactorHandle, nu_bound: float, norm_A: float,
+                   ) -> tuple[np.ndarray, float]:
+    """(M, s) for :func:`_screen`: M = f.solve(I), whose row i approximates A^{-1} e_i, and s, a bound on
+    ||fl(r M) - A^{-1} (y + b)|| / (||y|| + ||b||) for r = fl(y + b), any row y and nu_hat = max(1, nu_bound).
+
+    r M - A^{-1} r = A^{-1} (A M^T - I) r, so with theta >= ||A M^T - I||_F, s_0 = nu_hat theta + 1.01 n eps ||M||_F
+    bounds ||fl(r M) - A^{-1} r|| / ||r||, the last term the rounding of the product, and
+    theta = ||fl(A M^T) - I||_F + 4 n eps (||A|| ||M||_F + sqrt n) covers the rounding of the sparse product and
+    of the subtraction; ||A|| is the Gershgorin bound. The sum r moves A^{-1} r by at most nu eps ||y + b||,
+    and ||r|| <= (1 + eps)(||y|| + ||b||), so s = (1 + eps) s_0 + nu_hat eps.
+    """
+    n, nu_hat = problem.n, max(1.0, nu_bound)
+    M = f.solve(np.eye(n))
+    norm_M = _norm(M.ravel())
+    theta = _norm((matvec(problem.A, M) - np.eye(n)).ravel()) + 4 * n * _EPS * (norm_A * norm_M + math.sqrt(n))
+    return M, (1 + _EPS) * (nu_hat * theta + 1.01 * n * _EPS * norm_M) + nu_hat * _EPS
+
+
+def _screen(problem: AveProblem, method: str, params: np.ndarray, cap: int, tol: float,
+            inverse: tuple[np.ndarray, float], nu_bound: float, norm_A: float) -> np.ndarray:
+    """Mask of the columns ``params`` whose direct RES stays above tol through step ``cap``, shown on the
+    iterate that :func:`_dense_inverse`'s M gives in place of each solve and a bound on its error.
+
+    Each column runs the update of :func:`avesolve.solvers.iterate_block` with z~ = (y~ + b) M and carries
+    (E^x_k, E^y_k), a bound on its distance from the exact iterate (x_k, y_k). With nu_hat = max(1, nu_bound),
+    a = |1 - w|, s from :func:`_dense_inverse` and rnd(u, v) = 3 eps (1 + w) max(||u||, ||v||), the rounding of
+    one update:
+
+    - SOR: E^x_k = a E^x_{k-1} + w (nu_hat E^y_{k-1} + s (||y~_{k-1}|| + ||b||)) + rnd(x~_k, z~_k);
+    - FPI: E^x_k = nu_hat E^y_{k-1} + s (||y~_{k-1}|| + ||b||) + rnd(x~_k, z~_k);
+    - both: E^y_k = a E^y_{k-1} + w E^x_k + rnd(x~_k, y~_k),
+
+    which, substituted into each other, is the recursion of the paper's W (U for FPI). Every norm of a block
+    column is taken as sqrt(n) max_i |.|, per column. A column is dropped only if at every step k <= cap
+
+        RES~_k - [(||A|| + 1) E^x_k + 4 n eps ((||A|| + 1) ||x~_k|| + ||b||) + margin_k] / ||b|| > tol,
+
+    RES~_k the computed RES of x~_k, whose rounding the middle term covers, and margin_k :func:`_margin`'s at
+    ||x_k|| <= ||x~_k|| + E^x_k: the residual moves by at most (||A|| + 1) ||x~_k - x_k||. A non-finite value
+    keeps its column. Each product (y~ + b) M is formed in pieces of at most _ONE_THREAD_MADDS multiply-adds,
+    and a step releases z~ and |x~| once it has used them: the lattice 8 SOR argmin then peaks at no more
+    memory than iterate_block took for the same columns.
+    """
+    M, s = inverse
+    n, b, norm_b = problem.n, problem.b, problem.norm_b
+    sor, nu_hat, root_n = method == "sor", max(1.0, nu_bound), math.sqrt(n)
+    piece = max(1, _ONE_THREAD_MADDS // n**2)
+    # Grid point j is column j of each n x p block: a column's norm then reduces over contiguous rows, and
+    # A X takes the block as it is.
+    cols, w = np.arange(len(params)), params
+    X = Y = np.zeros((n, len(params)))
+    Ex = Ey = norm_y = np.zeros(len(params))
+    b = b[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cap + 1):
+            v = 1.0 - w
+            Z = np.empty_like(Y)
+            for j in range(0, len(cols), piece):  # y~ + b is formed a piece at a time, never as a whole block
+                np.matmul(M.T, Y[:, j:j + piece] + b, out=Z[:, j:j + piece])
+            # sqrt(n) max_i |T_i| >= ||T||_2 of every column, with no BLAS call
+            norm_z = root_n * np.abs(Z).max(axis=0)
+            X = v * X + w * Z if sor else Z
+            del Z
+            abs_x = np.abs(X)
+            norm_x = root_n * abs_x.max(axis=0)
+            z_error = nu_hat * Ey + s * (norm_y + norm_b)  # bounds ||z~_k - z_k||, norm_y still of y~_{k-1}
+            Y = v * Y + w * abs_x
+            del abs_x
+            norm_y = root_n * np.abs(Y).max(axis=0)
+            a, rnd = np.abs(v), 3 * _EPS * (1.0 + w)
+            Ex = (a * Ex + w * z_error if sor else z_error) + rnd * np.maximum(norm_x, norm_z)
+            Ey = a * Ey + w * Ex + rnd * np.maximum(norm_x, norm_y)
+            slack = ((norm_A + 1.0) * Ex + 4 * n * _EPS * ((norm_A + 1.0) * norm_x + norm_b)
+                     + _margin(k, nu_hat, norm_A, norm_x + Ex, norm_b))
+            above = _residuals(problem, X.T) - slack / norm_b > tol
+            if not above.all():
+                cols, w, X, Y = cols[above], w[above], X[:, above], Y[:, above]
+                Ex, Ey, norm_y = Ex[above], Ey[above], norm_y[above]
+                if not len(cols):
+                    break
+    dropped = np.zeros(len(params), dtype=bool)
+    dropped[cols] = True
+    return dropped
+
+
 def _sweep(
     problem: AveProblem,
     method: str,
@@ -280,15 +374,23 @@ def _sweep(
     per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the k* or k* - 1 cap
     that the module docstring states.
 
-    With ``argmin``, FPI and nu_hat < 1, a chunk first drops the columns whose RES floor
-    (:func:`avesolve.params.fpi_least_steps`, less rounding: :func:`_beyond_floor`) stays above tol
-    through its cap: they cannot converge by then, so they cannot win. RES_1 = ||u|| / ||b|| comes from
-    the one solve u = A^{-1} b that the Krylov pass starts from. A full table prunes nothing: it needs
-    every count. SOR gets no such floor. RES sees only x, and the SOR error
-    e^x_k = (1 - w) e^x_{k-1} + w A^{-1} e^y_{k-1} can vanish while e^y_k does not, so no bound on
-    ||(e^x, e^y)|| alone keeps RES_k above tol (the triangle inequality gives a negative rate,
-    |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25). The SOR fallback columns (573 at
-    lattice 8, w >= 1.427, RES 0.4 to 6.6 through step 12) stay in the direct path.
+    With ``argmin``, a chunk then drops, by two rules, the columns that cannot converge through its cap,
+    and so cannot win. A full table prunes nothing: it needs every count.
+
+    - FPI with nu_hat < 1: the columns whose RES floor (:func:`avesolve.params.fpi_least_steps`, less
+      rounding: :func:`_beyond_floor`) stays above tol. RES_1 = ||u|| / ||b|| comes from the one solve
+      u = A^{-1} b that the Krylov pass starts from. SOR has no such floor. RES sees only x, and the SOR
+      error e^x_k = (1 - w) e^x_{k-1} + w A^{-1} e^y_{k-1} can vanish while e^y_k does not, so no bound on
+      ||(e^x, e^y)|| alone keeps RES_k above tol (the triangle inequality gives a negative rate,
+      |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25).
+    - Either method with a bound on nu, where A^{-1} fits one block (8 n^2 <= BLOCK_BYTES, so n <= 128): the
+      columns that :func:`_screen` shows to stay above tol. It runs every column of the chunk on a dense
+      inverse M = f.solve(I), formed once per search for the first chunk it sees, in place of the
+      factor-solves, with a W-propagated bound on how far that iterate lies from the exact one. On lattice
+      8 it drops all 573 SOR fallback columns (w >= 1.427, RES >= 0.43 through step 11) for 64 solve
+      columns, where the direct path took 5 730.
+
+    Every column left runs in iterate_block exactly as without the rules.
     """
     check_method(method)
     check_stop_rule(tol, k_max)
@@ -307,6 +409,8 @@ def _sweep(
     prune = argmin and method == "fpi" and len(rest) > 0 and nu_bound is not None and nu_bound < 1 and u.any()
     if prune:  # u = 0 only for b = 0, which the direct iteration reports
         res_1 = float(np.linalg.norm(u) / problem.norm_b)
+    screen = argmin and 8 * problem.n**2 <= BLOCK_BYTES and nu_bound is not None and u.any()
+    inverse = None  # _dense_inverse's (M, s), formed for the first chunk the screen sees
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n))):
         cols = rest[chunk]
@@ -316,6 +420,10 @@ def _sweep(
             last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)
         if prune and last > 0:
             cols = cols[~_beyond_floor(grid[cols], last, tol, nu_bound, res_1, norm_A)]
+        if screen and last > 0 and len(cols):
+            if inverse is None:
+                inverse = _dense_inverse(problem, f, nu_bound, norm_A)
+            cols = cols[~_screen(problem, method, grid[cols], last, tol, inverse, nu_bound, norm_A)]
         if last > 0 and len(cols):
             stops = iterate_block(problem, f, method, grid[cols], tol, last, zeros, zeros)
             its[cols] = np.where(stops.converged, stops.iterations, sentinel)

@@ -25,7 +25,7 @@ from avesolve import (
     linalg,
     matvec,
 )
-from conftest import dense_inv_norm, random_spd, rotated_spd
+from conftest import dense_inv_norm, random_spd, rotated_spd, trefethen_b
 
 
 def tridiag(c, d, n):
@@ -586,6 +586,34 @@ def test_gershgorin_interval_holds_the_spectrum(dense):
     assert lo <= lam[0] + slack and lam[-1] <= hi + slack
 
 
+def _bincount_interval(A):
+    """The Gershgorin interval by the weighted np.bincount of the off-diagonal |a_ij|, the formula whose bits
+    ``A.gershgorin`` keeps: bincount adds each row's weights in stored order, from 0."""
+    rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+    on_diag = rows == A.col_idx
+    off = np.bincount(rows[~on_diag], weights=np.abs(A.values[~on_diag]), minlength=A.n)
+    return float(np.min(A.values[on_diag] - off)), float(np.max(A.values[on_diag] + off))
+
+
+# Symmetric with a positive diagonal, up to 40 entries a row, magnitudes over 24 orders: every row sum rounds,
+# so a sum in any other order (np.add.reduceat moves the bits of rows longer than 8) would show.
+_wide_symmetric = st.integers(1, 40).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n), elements=st.one_of(
+        st.just(0.0), st.floats(-1e12, 1e12), st.floats(-1e-12, 1e-12), st.floats(-3.0, 3.0)))
+).map(_symmetric_positive_diagonal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_symmetric)
+@example(gen_lattice(16).A.to_dense())
+@example(trefethen_b(200).to_dense())
+def test_gershgorin_keeps_the_bincount_bits(dense):
+    A = SparseSpdMatrix.from_dense(dense)
+    assert A.gershgorin == _bincount_interval(A)
+    shifted = linalg._shifted(A, 0.5 * A.csr.diagonal().min())
+    assert shifted.gershgorin == _bincount_interval(shifted)
+
+
 class TestEstimateInvNorm:
     def test_identity(self):
         A = SparseSpdMatrix.from_dense(np.eye(5) * 1.0)
@@ -777,20 +805,24 @@ def test_estimate_inv_norm_matches_eigvalsh(dense):
 
 
 class TestInvNormBound:
-    def test_cases(self, tref200b, factorize_calls):
-        # Lattice 8: Gershgorin lo = 4, no factorization. Trefethen_200b: lo = -5, and A - I factorizes.
-        assert linalg.inv_norm_bound(gen_lattice(8).A) == 0.25 and factorize_calls == []
-        assert linalg.inv_norm_bound(tref200b) == 1.0 and len(factorize_calls) == 1
+    def test_cases(self, factorize_calls):
+        # Lattice 8: Gershgorin lo = 4, no factorization. Trefethen_200b: lo = -5, and A - I factorizes, once:
+        # the bound is a property of the matrix, taken on first read (a fresh matrix, not the session fixture,
+        # whose bound another test may have read already).
+        assert gen_lattice(8).A.inv_norm_bound == 0.25 and factorize_calls == []
+        tref200b = trefethen_b(200)
+        assert tref200b.inv_norm_bound == 1.0 and len(factorize_calls) == 1
+        assert tref200b.inv_norm_bound == 1.0 and len(factorize_calls) == 1
         # Lattice 8 scaled by 0.1: lambda_min 0.42 < 1, so A - I is not SPD; lo = 0.4 still bounds it.
-        assert linalg.inv_norm_bound(SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)) == pytest.approx(2.5)
+        assert SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr).inv_norm_bound == pytest.approx(2.5)
         # lo = 0 and lambda_min < 1: no cheap bound.
-        assert linalg.inv_norm_bound(tridiag(-1, 2, 10)) is None
+        assert tridiag(-1, 2, 10).inv_norm_bound is None
 
     @settings(max_examples=100, deadline=None)
     @given(random_spd_kinds, st.sampled_from([1.0, 20.0]))
     def test_bounds_nu(self, dense, scale):
         A = SparseSpdMatrix.from_dense(scale * dense)
-        bound = linalg.inv_norm_bound(A)
+        bound = A.inv_norm_bound
         assert bound is None or bound >= (1 - 1e-9) * dense_inv_norm(A)
 
 

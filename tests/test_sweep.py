@@ -24,11 +24,12 @@ from avesolve import (
     linalg,
     range_sor_new,
     rho_W,
+    save_matrix_market,
     solve_fpi,
     solve_sor_like,
 )
 from avesolve import cli, solvers, sweep
-from conftest import random_ave_problems
+from conftest import random_ave_problems, trefethen_b
 
 
 @pytest.fixture(scope="module")
@@ -162,15 +163,18 @@ class TestGridArgmin:
         p, f = lattice8
         assert grid_argmin(p, method, f=f) == expected
 
-    @pytest.mark.parametrize("method, direct", [("fpi", False), ("sor", False), ("fpi", True), ("sor", True)],
+    @pytest.mark.parametrize("method, direct, limit", [("fpi", False, 100), ("sor", False, 200), ("fpi", True, 30_000),
+                                                       ("sor", True, 30_000)],
                              ids=["fpi", "sor", "fpi-direct", "sor-direct"])
-    def test_lattice8_stops_early(self, lattice8, monkeypatch, method, direct):
+    def test_lattice8_stops_early(self, lattice8, monkeypatch, method, direct, limit):
         # Running every grid point to its end takes 106k (FPI) and 132k (SOR) column-steps. The Krylov
-        # path takes 11 (its fallback columns dropped by their RES floor) and about 5.7k; without it (no
-        # bound on nu, so no column certified and no floor), the capped direct chunks take about 22k.
+        # path takes 11 (FPI: its fallback columns dropped by their RES floor) and 75 (SOR: 11, and the 64
+        # columns of the dense inverse on which the screen drops all 573 fallback columns, which the direct
+        # path ran for 10 steps each, 5 730 column-steps); without it (no bound on nu, so no column certified,
+        # no floor and no screen), the capped direct chunks take about 22k.
         p, f = lattice8
         if direct:
-            monkeypatch.setattr(sweep, "inv_norm_bound", lambda A: None)
+            monkeypatch.setattr(SparseSpdMatrix, "inv_norm_bound", property(lambda A: None))
         columns = []
         solve = linalg.FactorHandle.solve
 
@@ -179,8 +183,8 @@ class TestGridArgmin:
             return solve(self, r)
 
         monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
-        grid_argmin(p, method, f=f)
-        assert sum(columns) < 30_000
+        assert grid_argmin(p, method, f=f) == {"fpi": (0.961, 11), "sor": (0.981, 11)}[method]
+        assert sum(columns) < limit
 
 
 # Points near 1 converge fastest; points above 2 and 10, 1e4 mostly diverge.
@@ -248,6 +252,17 @@ def test_bench_takes_the_gershgorin_interval_once_per_matrix(monkeypatch, capsys
     assert [(nu_bound, norm_A) for nu_bound, _, norm_A in starts] == [(0.25, 12.0)] * 2
 
 
+def test_bench_factorizes_a_minus_i_once_per_matrix(monkeypatch, capsys, tmp_path, tref20b):
+    # Trefethen_20b has Gershgorin lo < 1 < min a_ii, so its bound on nu needs A - I factorized. The bound is a
+    # property of the matrix, so the _krylov_start of both grid searches (SORLno, FPIno) share one factorization.
+    path = tmp_path / "Trefethen_20b.mtx"
+    save_matrix_market(tref20b, path)
+    sigmas, shifted = [], linalg._shifted
+    monkeypatch.setattr(linalg, "_shifted", lambda A, sigma: sigmas.append(sigma) or shifted(A, sigma))
+    assert cli.main(["bench", "--matrix", str(path)]) == 0
+    assert sigmas.count(1.0) == 1
+
+
 def _lattice8_scaled():
     """0.1 x the lattice 8 matrix with its alternating solution: nu = 2.36, bounded by 1/lo = 2.5."""
     A = linalg.SparseSpdMatrix.from_scipy(0.1 * gen_lattice(8).A.csr)
@@ -283,6 +298,36 @@ def test_fpi_floor_prunes_no_converging_column(problem, grid, tol, k_max):
         grid_argmin(problem, "fpi", grid=grid, tol=tol, k_max=k_max, f=f)
     assert all(direct[tau] > cap for tau, cap in dropped)
     assert floor or not dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_ave_problems(), st.sampled_from(["sor", "fpi"]), ascending_grids, st.floats(1e-10, 1e-2),
+       st.integers(1, 40))
+@example(gen_lattice(8), "sor", default_grid(), 1e-8, 100)
+@example(_lattice8_scaled(), "sor", default_grid(), 1e-8, 100)
+@example(_lattice8_scaled(), "fpi", default_grid(), 1e-8, 100)
+@example(build_rhs(trefethen_b(20), alternating_xstar(19)), "sor", default_grid(), 1e-8, 100)
+@example(build_rhs(trefethen_b(20), alternating_xstar(19)), "fpi", default_grid(), 1e-8, 100)
+def test_screen_drops_no_converging_column(problem, method, grid, tol, k_max):
+    # Every column the dense-inverse screen drops keeps its direct RES above tol through the cap of its chunk:
+    # its direct count exceeds the cap. Lattice 8 drops all 573 SOR fallback columns; lattice 8 x 0.1, where
+    # nu_hat = 2.5 > 1 widens every error bound, drops most of its SOR and FPI ones; Trefethen_20b, factored in
+    # reverse Cuthill-McKee order, drops 740 (SOR) and 461 (FPI). The argmin stays that of the direct counts.
+    f = factorize(problem.A)
+    counts = _direct_counts(problem, f, method, grid, tol, k_max)
+    direct = dict(zip(grid.tolist(), counts.tolist()))
+    dropped, screen = [], sweep._screen
+
+    def spy(problem, method, params, cap, *args):
+        mask = screen(problem, method, params, cap, *args)
+        dropped.extend((param, cap) for param in params[mask].tolist())
+        return mask
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_screen", spy)
+        best = grid_argmin(problem, method, grid=grid, tol=tol, k_max=k_max, f=f)
+    assert all(direct[param] > cap for param, cap in dropped)
+    assert best == (None if counts.min() > k_max else (float(grid[np.argmin(counts)]), int(counts.min())))
 
 
 class TestKrylovPath:
