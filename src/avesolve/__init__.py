@@ -22,6 +22,7 @@ from .params import (
     check_kema_condition,
     chen_opt_omega,
     fpi_least_steps,
+    fpi_most_steps,
     g_nu_sor,
     optimal_fpi,
     optimal_sor,

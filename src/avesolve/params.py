@@ -1,16 +1,19 @@
 """Closed-form parameter theory for the two AVE iterations.
 
-Everything here is a scalar function of the iteration parameter (omega for
-the SOR-like scheme, tau for the fixed-point scheme) and of
-nu = ||A^{-1}||_2. The convergence ranges come from requiring the spectral
-radius of the 2x2 bounding matrix (W for SOR-like, U for FPI) to stay
-below one.
+Everything here is a function of the iteration parameter (omega for the
+SOR-like scheme, tau for the fixed-point scheme; rho_U, fpi_least_steps and
+fpi_most_steps also take an array of tau) and of nu = ||A^{-1}||_2. The
+convergence ranges come from requiring the spectral radius of the 2x2
+bounding matrix (W for SOR-like, U for FPI) to stay below one; through U,
+fpi_least_steps and fpi_most_steps bound the FPI count from both sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -39,9 +42,9 @@ def _check_nu(nu: float) -> None:
         raise DomainError(f"nu = {nu} outside (0, 1); the sufficient theory does not apply")
 
 
-def _check_positive(names: str, *values: float) -> None:
-    """DomainError unless every value is positive and finite; NaN and inf are no parameters."""
-    if not all(math.isfinite(v) and v > 0 for v in values):
+def _check_positive(names: str, *values: float | np.ndarray) -> None:
+    """DomainError unless every value (every entry of an array) is positive and finite; NaN and inf are none."""
+    if not all(np.all(np.isfinite(v) & (np.asarray(v) > 0)) for v in values):
         raise DomainError(f"{names} must be positive and finite")
 
 
@@ -89,13 +92,13 @@ def g_nu_sor(omega: float, nu: float) -> float:
     return 2.0 * a + omega * omega * nu + omega * math.sqrt(4.0 * a * nu + omega * omega * nu * nu)
 
 
-def rho_U(tau: float, nu: float) -> float:
+def rho_U(tau: float | np.ndarray, nu: float) -> float | np.ndarray:
     """Spectral radius of the triangular U: tau*nu + |1 - tau|."""
     _check_positive("tau and nu", tau, nu)
     return tau * nu + abs(1.0 - tau)
 
 
-def fpi_least_steps(tau: float, nu: float, res_1: float, tol: float) -> float:
+def fpi_least_steps(tau: float | np.ndarray, nu: float, res_1: float, tol: float | np.ndarray) -> float | np.ndarray:
     """k_low: the least step k at which FPI's RES, from zero start vectors, can reach tol; inf if never.
 
     The paper's 2x2 argument run the other way. With e^y_k = y_k - |x*|, A e^x_k = e^y_{k-1} and
@@ -108,20 +111,39 @@ def fpi_least_steps(tau: float, nu: float, res_1: float, tol: float) -> float:
 
     Both factors fall as nu grows, so an upper bound on nu keeps the floor valid. Returns the least k
     at which this floor is at most tol (inf when c >= 1 and it never falls to tol), less a relative 1e-9
-    on the logarithms so that their rounding never raises it. nu must lie in (0, 1).
+    on the logarithms so that their rounding never raises it. nu must lie in (0, 1). An array of tau (or
+    of tol) gives an array of steps, one per entry.
     """
     _check_positive("tau, res_1 and tol", tau, res_1, tol)
     _check_nu(nu)
     floor = (1.0 - nu) / (1.0 + nu) * res_1  # at k = 1
-    c = abs(1.0 - tau) - tau * nu
-    if floor <= tol:
-        return 1
-    if c <= 0.0:
-        return 2
-    if c >= 1.0:
-        return math.inf
-    steps = math.log(tol / floor) / math.log(c)  # k - 1 at which the floor meets tol
-    return 1 + math.ceil(steps * (1.0 - 1e-9))
+    c = np.abs(1.0 - tau) - tau * nu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(tol / floor) / np.log(c)  # k - 1 at which the floor meets tol
+    return np.select([floor <= tol, c <= 0.0, c >= 1.0], [1, 2, np.inf], 1 + np.ceil(steps * (1.0 - 1e-9)))[()]
+
+
+def fpi_most_steps(tau: float | np.ndarray, nu: float, res_1: float, tol: float | np.ndarray) -> float | np.ndarray:
+    """k_up: a step k by which FPI's RES, from zero start vectors, has reached tol; inf if rho(U) >= 1.
+
+    The paper's 2x2 argument, with the errors of :func:`fpi_least_steps`. From zero, the residual
+    r_k = e^y_{k-1} - (|x_k| - |x*|) has ||r_k|| <= (1 + nu) ||e^y_{k-1}||, the paper's contraction gives
+    ||e^y_k|| <= rho(U) ||e^y_{k-1}||, and x* = A^{-1} (|x*| + b) gives ||e^y_0|| = ||x*|| <= ||A^{-1} b|| / (1 - nu).
+    Together, with RES_1 = ||A^{-1} b|| / ||b||:
+
+        RES_k <= (1 + nu) / (1 - nu) * rho(U)^(k-1) * RES_1.
+
+    Both factors grow with nu, so an upper bound on nu keeps the bound valid. Returns the least k at
+    which this bound is at most tol, plus a relative 1e-9 on the logarithms so that their rounding never
+    lowers it. nu must lie in (0, 1). An array of tau (or of tol) gives an array of steps, one per entry.
+    """
+    _check_positive("tau, res_1 and tol", tau, res_1, tol)
+    _check_nu(nu)
+    ceiling = (1.0 + nu) / (1.0 - nu) * res_1  # at k = 1
+    rho = rho_U(tau, nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(tol / ceiling) / np.log(rho)  # k - 1 at which the bound meets tol
+    return np.select([ceiling <= tol, rho >= 1.0], [1, np.inf], 1 + np.ceil(steps * (1.0 + 1e-9)))[()]
 
 
 def optimal_sor(nu: float) -> float:

@@ -10,23 +10,26 @@ point runs in the direct block iteration
 (:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
 multi-RHS factor-solve per step, in chunks of consecutive points
 (:func:`_chunks`) sized by BLOCK_BYTES, nearest the analytical optimum 1 first.
-The Krylov pass runs every grid point at once, and forms the iterates of its
-sign check only where a bound from a neighbouring anchor column misses. Two
-searches share this:
+The Krylov pass runs every grid point it is given at once, and forms the
+iterates of its sign check only where a bound from a neighbouring anchor
+column misses. Two searches share this:
 
 - :func:`grid_search` tabulates every grid point's iteration count: each
   column stops on its own when it converges, diverges or reaches k_max.
 - :func:`grid_argmin` finds only the first grid point attaining the least
-  count, the same one grid_search finds. The Krylov pass stops at k*, the
-  least step at which a certified column converges. A direct chunk runs at
-  most k* steps if it starts before the grid point attaining k* (it can still
-  tie and win on index), at most k* - 1 if it starts after it, and not at all
-  when that is 0. It first drops the points that cannot converge that soon:
-  for FPI with nu_hat < 1 those whose RES floor
-  (:func:`avesolve.params.fpi_least_steps`) stays above tol that long, and for
-  either method, where A^{-1} fits one block (n <= 128), those whose RES stays
-  above tol on an iterate formed with a dense inverse, less a bound on its
-  error that the paper's W (U for FPI) propagates (:func:`_screen`).
+  count k*, the same one grid_search finds. For FPI with nu_hat < 1 it first
+  takes a cap K >= k* from the paper's k_up (:func:`_fpi_cap`) and drops the
+  points whose RES floor (:func:`avesolve.params.fpi_least_steps`) stays above
+  tol through K; otherwise K = k_max. The Krylov pass runs the rest and stops
+  at k*, the least step at which a certified column converges, or at K. A
+  direct chunk runs at most k* steps if it starts before the grid point
+  attaining k* (it can still tie and win on index), at most k* - 1 if it
+  starts after it (K while none is certified), and not at all when that is 0.
+  It first drops the points that cannot converge that soon: by the same floor
+  at that cap, and for either method, where A^{-1} fits one block (n <= 128),
+  those whose RES stays above tol on an iterate formed with a dense inverse,
+  less a bound on its error that the paper's W (U for FPI) propagates
+  (:func:`_screen`). The columns left run in the direct block iteration.
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -40,7 +43,8 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import FactorHandle, _norm, _real, factorize, matvec
-from .params import PAPER_OPTIMUM, fpi_least_steps, range_fpi_new, range_fpi_old, range_sor_new, rho_U
+from .params import (PAPER_OPTIMUM, fpi_least_steps, fpi_most_steps, range_fpi_new, range_fpi_old, range_sor_new,
+                     rho_U)
 from .problems import AveProblem
 from .solvers import _residuals, check_method, check_stop_rule, iterate_block
 
@@ -228,10 +232,11 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                 C, G = _grown(C, (len(C), m)), _grown(G, (len(G), m))
             C = (1.0 - w) * C + w * S if method == "sor" else S
             G = (1.0 - w) * G + w * C
-            norm_x = np.linalg.norm(C, axis=1)
+            # sqrt(np.add.reduce(X * X)) is np.linalg.norm(X, axis=1) for real X, bit for bit, without its checks
+            norm_x, norm_g = np.sqrt(np.add.reduce(C * C, axis=1)), np.sqrt(np.add.reduce(G * G, axis=1))
             margin = _margin(k, nu_bound, norm_A, norm_x, norm_b)
             res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
-            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, np.linalg.norm(G, axis=1)) < _HEADROOM
+            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, norm_g) < _HEADROOM
             ok &= np.abs(res - tol) * norm_b > margin
             run = np.arange(len(C)) // ANCHOR_RUN
             anchor = run * ANCHOR_RUN  # the first row of each row's run
@@ -247,7 +252,8 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
             keep = ok & ~done
             if not keep.any():
                 break
-            cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
+            if not keep.all():
+                cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
     return its, certified
 
 
@@ -261,16 +267,35 @@ def _beyond_floor(taus: np.ndarray, cap: int, tol: float, nu_bound: float, res_1
     (the paper's contraction, ||e^y_k|| <= rho(U) ||e^y_{k-1}||) and ||x*|| = ||e^y_0|| <= RES_1 ||b|| / (1 - nu).
     A point whose slack overflows is kept.
     """
-    pruned = np.zeros(len(taus), dtype=bool)
-    for j, tau in enumerate(taus.tolist()):
-        try:
-            growth = max(1.0, rho_U(tau, nu_bound)) ** (cap - 1)
-        except OverflowError:
-            continue
+    with np.errstate(over="ignore"):
+        growth = np.maximum(1.0, rho_U(taus, nu_bound)) ** (cap - 1)
         x_over_b = (1.0 + nu_bound * growth) * res_1 / (1.0 - nu_bound)  # bound on ||x_k|| / ||b||, k <= cap
         slack = _margin(cap, nu_bound, norm_A, x_over_b, 1.0)
-        pruned[j] = math.isfinite(slack) and fpi_least_steps(tau, nu_bound, res_1, tol + slack) > cap
-    return pruned
+    finite = np.isfinite(slack)
+    return finite & (fpi_least_steps(taus, nu_bound, res_1, tol + np.where(finite, slack, 0.0)) > cap)
+
+
+def _fpi_cap(grid: np.ndarray, tol: float, k_max: int, nu_bound: float, res_1: float, norm_A: float) -> int:
+    """K, at most k_max: the least k at which the bound of :func:`avesolve.params.fpi_most_steps` at the grid's
+    least rho = rho(U), plus the direct RES's rounding margin_k / ||b||, is at most tol; the direct count of
+    that grid point, and so the argmin's, is then at most K. margin_k is :func:`_margin`'s at
+    ||x_k|| <= ||x*|| + nu ||e^y_{k-1}|| <= 2 ||x*|| <= 2 RES_1 ||b|| / (1 - nu_hat). The bound alone stays above tol
+    before k_up; past it the sum, a falling geometric term plus a rising line, is convex in k, so once a step
+    does not lower it no later step brings it to tol.
+    """
+    rho = rho_U(grid, nu_bound)
+    j = int(np.argmin(rho))
+    x_over_b = 2.0 * res_1 / (1.0 - nu_bound)
+
+    def bound(k):
+        return (1 + nu_bound) / (1 - nu_bound) * rho[j] ** (k - 1) * res_1 + _margin(k, nu_bound, norm_A, x_over_b, 1)
+
+    k = fpi_most_steps(grid[j], nu_bound, res_1, tol)
+    while k <= k_max and bound(k) > tol:
+        if bound(k + 1) >= bound(k):
+            return k_max
+        k += 1
+    return int(min(k, k_max))
 
 
 def _dense_inverse(problem: AveProblem, f: FactorHandle, nu_bound: float, norm_A: float,
@@ -371,15 +396,17 @@ def _sweep(
     (best_param, min_it) of the first grid point attaining the least count, None if none converged.
 
     The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, one call
-    per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the k* or k* - 1 cap
+    per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the K, k* or k* - 1 cap
     that the module docstring states.
 
     With ``argmin``, a chunk then drops, by two rules, the columns that cannot converge through its cap,
     and so cannot win. A full table prunes nothing: it needs every count.
 
     - FPI with nu_hat < 1: the columns whose RES floor (:func:`avesolve.params.fpi_least_steps`, less
-      rounding: :func:`_beyond_floor`) stays above tol. RES_1 = ||u|| / ||b|| comes from the one solve
-      u = A^{-1} b that the Krylov pass starts from. SOR has no such floor. RES sees only x, and the SOR
+      rounding: :func:`_beyond_floor`) stays above tol. The same rule first runs on the whole grid at cap
+      K (:func:`_fpi_cap`), and only the points it keeps enter the Krylov pass: on lattice 8, K = 14 keeps
+      1 164 of 1 999. RES_1 = ||u|| / ||b|| comes from the one solve u = A^{-1} b that the Krylov pass
+      starts from. SOR has no such floor. RES sees only x, and the SOR
       error e^x_k = (1 - w) e^x_{k-1} + w A^{-1} e^y_{k-1} can vanish while e^y_k does not, so no bound on
       ||(e^x, e^y)|| alone keeps RES_k above tol (the triangle inequality gives a negative rate,
       |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25).
@@ -403,18 +430,23 @@ def _sweep(
         f = factorize(problem.A)
     sentinel = k_max + 1
     start = _krylov_start(problem, f)
-    its, certified = _krylov_counts(problem, f, method, grid, tol, k_max, argmin, start)
-    rest = np.flatnonzero(~certified)
     nu_bound, u, norm_A = start
-    prune = argmin and method == "fpi" and len(rest) > 0 and nu_bound is not None and nu_bound < 1 and u.any()
+    live, cap = np.arange(len(grid)), k_max
+    prune = argmin and method == "fpi" and nu_bound is not None and nu_bound < 1 and u.any()
     if prune:  # u = 0 only for b = 0, which the direct iteration reports
         res_1 = float(np.linalg.norm(u) / problem.norm_b)
+        cap = _fpi_cap(grid, tol, k_max, nu_bound, res_1, norm_A)
+        live = live[~_beyond_floor(grid, cap, tol, nu_bound, res_1, norm_A)]
+    its = np.full(len(grid), sentinel)
+    counts, certified = _krylov_counts(problem, f, method, grid[live], tol, cap, argmin, start)
+    its[live] = np.where(counts <= cap, counts, sentinel)
+    rest = live[~certified]
     screen = argmin and 8 * problem.n**2 <= BLOCK_BYTES and nu_bound is not None and u.any()
     inverse = None  # _dense_inverse's (M, s), formed for the first chunk the screen sees
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n))):
         cols = rest[chunk]
-        last = k_max
+        last = cap
         if argmin:
             best = int(np.argmin(its))  # k* = its[best], the least count so far
             last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)

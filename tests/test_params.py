@@ -13,6 +13,7 @@ from avesolve import (
     check_kema_condition,
     chen_opt_omega,
     fpi_least_steps,
+    fpi_most_steps,
     g_nu_sor,
     optimal_fpi,
     optimal_sor,
@@ -135,6 +136,16 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError):
             fpi_least_steps(*args)
 
+    @pytest.mark.parametrize("fn", [fpi_least_steps, fpi_most_steps])
+    @pytest.mark.parametrize("position", [0, 1, 2, 3], ids=["tau", "nu", "res_1", "tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_fpi_steps_reject_in_arrays(self, fn, position, bad):
+        # k_up rejects what k_low does, and an array of tau or tol is rejected when any one entry is bad.
+        args = [1.9, 0.25, 0.13, 1e-8]
+        args[position] = np.array([args[position], bad]) if position in (0, 3) else bad
+        with pytest.raises(DomainError):
+            fn(*args)
+
 
 def fpi_floor(tau, nu, res_1, k):
     """(1 - nu) / (1 + nu) c^(k-1) RES_1, c = |1 - tau| - tau nu: the floor fpi_least_steps inverts (c >= 0)."""
@@ -165,6 +176,46 @@ class TestFpiLeastSteps:
         assert fpi_floor(tau, nu, res_1, k) <= tol * (1 + 1e-6)
         if k > 1:
             assert fpi_floor(tau, nu, res_1, k - 1) > tol * (1 - 1e-6)
+
+
+def fpi_ceiling(tau, nu, res_1, k):
+    """(1 + nu) / (1 - nu) rho(U)^(k-1) RES_1: the bound on RES_k that fpi_most_steps inverts."""
+    return (1 + nu) / (1 - nu) * (tau * nu + abs(1 - tau)) ** (k - 1) * res_1
+
+
+class TestFpiMostSteps:
+    def test_lattice8_optimum(self):
+        # nu_hat = 0.25 and RES_1 = 0.1268 on lattice 8: at tau = 1, rho(U) = 0.25 brings RES to 1e-8 by step 14;
+        # the direct count there is 11, the grid's least.
+        assert fpi_most_steps(1.0, 0.25, 0.1268, 1e-8) == 14
+
+    def test_edges(self):
+        assert fpi_most_steps(1.9, 0.25, 1e-9, 1e-8) == 1  # (1 + nu) / (1 - nu) RES_1 is already below tol
+        assert fpi_most_steps(1.6, 0.25, 0.13, 1e-8) == math.inf  # rho(U) = 1 at the end of range_fpi_new
+        assert fpi_most_steps(1.9, 0.25, 0.13, 1e-8) == math.inf  # rho(U) > 1: no bound
+        with pytest.raises(DomainError):
+            fpi_most_steps(1.0, 1.0, 0.13, 1e-8)  # no bound without nu < 1
+
+    @given(st.floats(0.01, 2.5), st.floats(0.01, 0.99), st.floats(1e-3, 10.0), st.floats(1e-12, 1e-2))
+    @example(1.0, 0.25, 0.1268, 1e-8)
+    def test_least_step_of_the_bound(self, tau, nu, res_1, tol):
+        # The returned step has the bound at most tol; the step before, if any, has it above tol, up to the
+        # relative 1e-9 by which the logarithms are stretched. It never comes before k_low.
+        k = fpi_most_steps(tau, nu, res_1, tol)
+        assert fpi_least_steps(tau, nu, res_1, tol) <= k
+        assume(k <= 10_000)
+        assert fpi_ceiling(tau, nu, res_1, k) <= tol * (1 + 1e-6)
+        if k > 1:
+            assert fpi_ceiling(tau, nu, res_1, k - 1) > tol * (1 - 1e-6)
+
+    @given(hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(0.01, 3.0)),
+           st.floats(0.01, 0.99), st.floats(1e-3, 10.0), st.floats(1e-12, 1e-2))
+    def test_arrays_give_the_scalar_steps(self, taus, nu, res_1, tol):
+        # One call on an array of tau (and of tol) gives each entry's scalar result.
+        tols = tol * np.linspace(1.0, 2.0, len(taus))
+        for fn in (fpi_least_steps, fpi_most_steps):
+            assert fn(taus, nu, res_1, tols).tolist() == [fn(t, nu, res_1, e) for t, e in zip(taus, tols)]
+        assert rho_U(taus, nu).tolist() == [rho_U(t, nu) for t in taus]
 
 
 class TestSpectralRadii:

@@ -1,10 +1,11 @@
 import cProfile
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avesolve import (
@@ -18,11 +19,14 @@ from avesolve import (
     estimate_inv_norm,
     factorize,
     fpi_least_steps,
+    fpi_most_steps,
     gen_lattice,
     grid_argmin,
     grid_search,
     linalg,
+    range_fpi_new,
     range_sor_new,
+    rho_U,
     rho_W,
     save_matrix_market,
     solve_fpi,
@@ -300,6 +304,104 @@ def test_fpi_floor_prunes_no_converging_column(problem, grid, tol, k_max):
     assert floor or not dropped
 
 
+@settings(max_examples=50, deadline=None)
+@given(random_ave_problems(), st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), st.floats(1e-10, 1e-2),
+       st.integers(1, 100))
+@example(gen_lattice(8), 1.0, 1e-8, 100)
+@example(_lattice8_scaled(), 1.0, 1e-8, 100)
+def test_fpi_counts_lie_between_the_paper_bounds(problem, tau, tol, k_max):
+    # For tau inside range_fpi_new(nu_hat), nu_hat = A.inv_norm_bound < 1, the direct FPI count from zero lies
+    # between k_low and k_up (params.fpi_least_steps and fpi_most_steps, at RES_1 = ||A^{-1} b|| / ||b||): 2 and 14
+    # on lattice 8 at tau = 1, which takes 11. The argmin's least count is at most the cap K its Krylov pass is
+    # given, unless K is k_max and no grid point converges. With nu_hat >= 1 (lattice 8 x 0.1: nu_hat = 2.5) the
+    # pass gets k_max itself.
+    f = factorize(problem.A)
+    caps, krylov_counts = [], sweep._krylov_counts
+
+    def spy(problem, f, method, grid, tol, cap, *args):
+        caps.append(cap)
+        return krylov_counts(problem, f, method, grid, tol, cap, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_krylov_counts", spy)
+        best = grid_argmin(problem, "fpi", tol=tol, k_max=k_max, f=f)
+    nu_bound, u, _ = sweep._krylov_start(problem, f)
+    if nu_bound is None or nu_bound >= 1:
+        assert caps == [k_max]
+        return
+    assert best is not None and best[1] <= caps[0] or best is None and caps[0] == k_max
+    assume(range_fpi_new(nu_bound).contains(tau))
+    res_1 = np.linalg.norm(u) / problem.norm_b
+    k_up = fpi_most_steps(tau, nu_bound, res_1, tol)
+    assume(k_up <= 1000)
+    count = _direct_counts(problem, f, "fpi", [tau], tol, int(k_up))[0]
+    assert fpi_least_steps(tau, nu_bound, res_1, tol) <= count <= k_up
+
+
+def _scalar_floor(taus, cap, tol, nu_bound, res_1, norm_A):
+    """The per-point rule that sweep._beyond_floor vectorizes, with the scalar k_low it called."""
+    pruned = []
+    for tau in taus.tolist():
+        try:
+            growth = max(1.0, tau * nu_bound + abs(1.0 - tau)) ** (cap - 1)
+        except OverflowError:
+            pruned.append(False)
+            continue
+        x_over_b = (1.0 + nu_bound * growth) * res_1 / (1.0 - nu_bound)
+        slack = sweep._margin(cap, nu_bound, norm_A, x_over_b, 1.0)
+        if not math.isfinite(slack):
+            pruned.append(False)
+            continue
+        floor, c = (1.0 - nu_bound) / (1.0 + nu_bound) * res_1, abs(1.0 - tau) - tau * nu_bound
+        if floor <= tol + slack:
+            k_low = 1
+        elif c <= 0.0:
+            k_low = 2
+        elif c >= 1.0:
+            k_low = math.inf
+        else:
+            k_low = 1 + math.ceil(math.log((tol + slack) / floor) / math.log(c) * (1.0 - 1e-9))
+        pruned.append(k_low > cap)
+    return np.array(pruned)
+
+
+@pytest.mark.parametrize("nu_bound, res_1", [(0.25, 0.1268), (0.9, 3.0)])
+@pytest.mark.parametrize("cap", [1, 2, 3, 11, 14, 100, 65_536])
+def test_vectorized_floor_keeps_the_scalar_mask(nu_bound, res_1, cap):
+    # A tau grid through c = |1 - tau| - tau nu <= 0 (near 1), c >= 1 (tau >= 2 / (1 - nu)) and, at cap 65 536, a
+    # growth rho(U)^(cap - 1) that overflows (rho(U) > 1.011): the one numpy pass prunes exactly what the per-point
+    # rule did. Cap 1 prunes every point (no RES_1 reaches tol), cap 65 536 none (every floor falls to tol or
+    # overflows); the caps between prune some.
+    taus = np.round(np.arange(1, 25_001) * 0.001, 3)
+    for tol in (1e-12, 1e-8, 1e-3):
+        pruned = sweep._beyond_floor(taus, cap, tol, nu_bound, res_1, 12.0)
+        assert pruned.tolist() == _scalar_floor(taus, cap, tol, nu_bound, res_1, 12.0).tolist()
+        if cap == 1:
+            assert pruned.all()
+        elif cap == 65_536:
+            assert not pruned.any()
+        else:
+            assert 0 < pruned.sum() < len(taus)
+
+
+def test_lattice8_fpi_argmin_drops_points_before_the_krylov_pass(lattice8, monkeypatch):
+    # k_up at tau = 1 caps the lattice 8 FPI argmin at K = 14 steps, and the RES floor at cap 14 rules out
+    # the 835 grid points tau <= 0.563 and tau >= 1.728: the Krylov pass advances the other 1 164.
+    p, f = lattice8
+    passed, krylov_counts = [], sweep._krylov_counts
+
+    def spy(problem, f, method, grid, tol, cap, *args):
+        passed.append((len(grid), grid.min(), grid.max(), cap))
+        return krylov_counts(problem, f, method, grid, tol, cap, *args)
+
+    monkeypatch.setattr(sweep, "_krylov_counts", spy)
+    assert grid_argmin(p, "fpi", f=f) == (0.961, 11)
+    assert passed == [(1164, 0.564, 1.727, 14)]
+    passed.clear()
+    assert grid_argmin(p, "sor", f=f) == (0.981, 11)  # SOR has no floor and no cap
+    assert passed == [(1999, 0.001, 1.999, 100)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_ave_problems(), st.sampled_from(["sor", "fpi"]), ascending_grids, st.floats(1e-10, 1e-2),
        st.integers(1, 40))
@@ -412,9 +514,9 @@ class TestKrylovPath:
         assert peak < 8 * 2**20
 
     def test_lattice8_argmin_takes_the_fast_path(self, lattice8, monkeypatch):
-        # 11 single-vector solves build the basis; only the 140 columns tau >= 1.86 fall back. They lie after
-        # the grid point of k* = 11, the least count found, so they may run k* - 1 = 10 steps each, but their
-        # RES floor (params.fpi_least_steps) stays above tol until step 19 to 24, so none runs.
+        # 11 single-vector solves build the basis. The 140 columns tau >= 1.86 that it cannot certify have a RES
+        # floor (params.fpi_least_steps) above tol until step 19 to 24, past the cap K = 14 from k_up, so they
+        # are dropped with the other points tau >= 1.728 before the pass, and no direct chunk runs.
         p, f = lattice8
         columns = []
         solve = linalg.FactorHandle.solve
