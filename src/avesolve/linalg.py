@@ -157,6 +157,10 @@ class SparseSpdMatrix:
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """:func:`matvec` without its check: x is a float64 vector of length n or a p x n block."""
+        return (self.csr @ x.T).T
+
     def _rows(self) -> np.ndarray:  # the row index of every stored entry, aligned with col_idx and values
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
@@ -206,7 +210,10 @@ class FactorHandle:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """Solve A z = r for a vector r, or for every row of a p x n block r."""
-        r = _vector_or_rows(r, self.n, "right-hand side")
+        return self._solve(_vector_or_rows(r, self.n, "right-hand side"))
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """:meth:`solve` without its check: r is a float64 vector of length n or a p x n block."""
         # A C-ordered p x n block transposes, without a copy, into the
         # Fortran-ordered n x p multi-RHS array that LAPACK expects.
         if self._band is None:
@@ -251,8 +258,7 @@ def _vector_or_rows(v, n: int, what: str) -> np.ndarray:
 
 def matvec(A: SparseSpdMatrix, x: np.ndarray) -> np.ndarray:
     """Product A @ x for a vector x, or A @ x_i for every row x_i of a p x n block."""
-    x = _vector_or_rows(x, A.n, "vector")
-    return (A.csr @ x.T).T
+    return A._product(_vector_or_rows(x, A.n, "vector"))
 
 
 def factorize(A: SparseSpdMatrix) -> FactorHandle:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import FactorHandle, _real, _vector, matvec
+from .linalg import FactorHandle, _real, _vector
 from .params import _check_positive
 from .problems import AveProblem
 
@@ -79,8 +79,8 @@ class BlockStops:
     res: np.ndarray  # RES after the last update
 
 
-def _residuals(problem: AveProblem, X: np.ndarray) -> np.ndarray:
-    """Relative residual ||A x - |x| - b||_2 / ||b||_2 of every row x of the block X; DomainError for b = 0.
+def _residuals(problem: AveProblem, X: np.ndarray, abs_X: np.ndarray) -> np.ndarray:
+    """||A x - |x| - b||_2 / ||b||_2 of every row x of the unchecked block X, given abs_X = |X|; DomainError for b = 0.
 
     No vector reduction here uses BLAS: ||b|| is the problem's norm_b, a :func:`avesolve.linalg._norm`
     taken once per problem, and each row norm is sqrt(np.add.reduce(r * r)), numpy's own pairwise sum, the
@@ -88,13 +88,14 @@ def _residuals(problem: AveProblem, X: np.ndarray) -> np.ndarray:
     """
     if problem.norm_b == 0.0:
         raise DomainError("relative residual undefined for b = 0")
-    R = matvec(problem.A, X) - np.abs(X) - problem.b
+    R = problem.A._product(X) - abs_X - problem.b
     return np.sqrt(np.add.reduce(R * R, axis=1)) / problem.norm_b
 
 
 def residual(problem: AveProblem, x: np.ndarray) -> float:
     """Relative residual ||A x - |x| - b||_2 / ||b||_2."""
-    return float(_residuals(problem, _vector(x, problem.n, "x")[None])[0])
+    X = _vector(x, problem.n, "x")[None]
+    return float(_residuals(problem, X, np.abs(X))[0])
 
 
 def iterate_block(
@@ -110,16 +111,13 @@ def iterate_block(
 ) -> BlockStops:
     """Run the SOR-like ("sor") or fixed-point ("fpi") iteration once per parameter, as one block.
 
-    Every column starts from (x0, y0). A column stops at the first update
-    that makes x or y non-finite (diverged), brings RES to at most tol
-    (converged) or is the k_max-th; stopped columns are dropped from the
-    block, so they cost no further work. The caller bounds the block's size
-    (the sweep module runs a grid in chunks). Method, real parameters (a
-    nonempty 1-D array) and start vectors of length n are checked here; the
-    parameters' range, tol and k_max by the callers (SolveConfig, the sweep
-    module), which start from zero.
-    ``observe(X, Y, res)``, when given, sees the rows still running after
-    every update, before any stop.
+    Every column starts from (x0, y0). A column stops at the first update that makes x or y non-finite
+    (diverged), brings RES to at most tol (converged) or is the k_max-th; stopped columns are dropped from
+    the block, so they cost no further work. The caller (the sweep module, in chunks) bounds the block's size.
+    Method, real parameters (a nonempty 1-D array), start vectors of length n and the factor's size are
+    checked here, once; the parameters' range, tol and k_max by the callers, which start from zero.
+    ``observe(X, Y, res)``, when given, sees the rows still running after every update, before any stop; the
+    loop calls the unchecked factor-solve and product and never writes a block in place, so it may keep views.
     """
     check_method(method)
     sor = method == "sor"
@@ -136,16 +134,21 @@ def iterate_block(
     v = 1.0 - w
     X = np.tile(_vector(x0, problem.n, "x0"), (p, 1))
     Y = np.tile(_vector(y0, problem.n, "y0"), (p, 1))
+    if f.n != problem.n:
+        raise DimensionMismatch("factorization dimension differs from matrix dimension")
     # Diverging columns overflow on purpose; they are caught by the finiteness test.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, k_max + 1):
-            Z = f.solve(Y + problem.b)
+            Z = f._solve(Y + problem.b)
             X = v * X + w * Z if sor else Z
-            Y = v * Y + w * np.abs(X)
-            res = _residuals(problem, X)
+            abs_x = np.abs(X)
+            Y = v * Y + w * abs_x
+            res = _residuals(problem, X, abs_x)
             if observe is not None:
                 observe(X, Y, res)
-            bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
+            bad = ~np.isfinite(Y).all(axis=1)
+            if not np.isfinite(res).all():  # a non-finite entry of x makes res non-finite: only then test X
+                bad |= ~np.isfinite(X).all(axis=1)
             good = ~bad & (res <= tol)
             stop = bad | good | (k == k_max)
             if not stop.any():
@@ -165,16 +168,15 @@ def iterate_block(
 def _solve(problem: AveProblem, f: FactorHandle, cfg: SolveConfig, method: str) -> SolveReport:
     zeros = np.zeros(problem.n)
     res_history: list[float] = []
-    last = []
+    last = []  # the final x and y: views, since iterate_block writes no block in place
 
     def observe(X, Y, res):
         res_history.append(float(res[0]))
-        last[:] = [X[0].copy(), Y[0].copy()]
+        last[:] = [X[0], Y[0]]
 
     stops = iterate_block(problem, f, method, [cfg.parameter], cfg.tol, cfg.k_max, zeros, zeros, observe)
-    x, y = last
     return SolveReport(bool(stops.converged[0]), bool(stops.diverged[0]), int(stops.iterations[0]),
-                       float(stops.res[0]), x, y, res_history)
+                       float(stops.res[0]), *last, res_history)
 
 
 def solve_sor_like(problem: AveProblem, f: FactorHandle, cfg: SolveConfig) -> SolveReport:

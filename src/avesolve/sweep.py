@@ -1,35 +1,17 @@
 """Grid search for numerically optimal parameters and convergence-domain data.
 
-One Krylov basis serves the whole grid (:func:`_krylov_counts`): while the
-iterates keep the sign pattern of A^{-1} b, both iterations are linear, and
-every grid point advances as a short row of coefficients on one basis built
-with one solve per step, and as many steps as an undecided point needs. A
-grid point's count is taken from it only where a stated rounding margin
-certifies that the direct iteration stops at the same step. Every other grid
-point runs in the direct block iteration
-(:func:`avesolve.solvers.iterate_block`), from zero, as one column of a
-multi-RHS factor-solve per step, in chunks of consecutive points
-(:func:`_chunks`) sized by BLOCK_BYTES, nearest the analytical optimum 1 first.
-The Krylov pass runs every grid point it is given at once, and forms the
-iterates of its sign check only where a bound from a neighbouring anchor
-column misses. Two searches share this:
+One Krylov basis serves the whole grid (:func:`_krylov_counts`): while the iterates keep the sign pattern
+of A^{-1} b, both iterations are linear, and every grid point advances as a short column of coefficients
+on one basis built with one solve per step. Grid point j is column j of every block a step carries over (m x p
+coefficients, the screen's n x p iterates), so each per-point sum runs over the short axis. A count is
+taken from the basis only where a stated rounding margin certifies that the direct iteration stops at the
+same step; every other grid point runs from zero in :func:`avesolve.solvers.iterate_block`, in chunks of
+consecutive points (:func:`_chunks`) sized by BLOCK_BYTES, nearest the optimum 1 first. Two searches share this:
 
-- :func:`grid_search` tabulates every grid point's iteration count: each
-  column stops on its own when it converges, diverges or reaches k_max.
-- :func:`grid_argmin` finds only the first grid point attaining the least
-  count k*, the same one grid_search finds. For FPI with nu_hat < 1 it first
-  takes a cap K >= k* from the paper's k_up (:func:`_fpi_cap`) and drops the
-  points whose RES floor (:func:`avesolve.params.fpi_least_steps`) stays above
-  tol through K; otherwise K = k_max. The Krylov pass runs the rest and stops
-  at k*, the least step at which a certified column converges, or at K. A
-  direct chunk runs at most k* steps if it starts before the grid point
-  attaining k* (it can still tie and win on index), at most k* - 1 if it
-  starts after it (K while none is certified), and not at all when that is 0.
-  It first drops the points that cannot converge that soon: by the same floor
-  at that cap, and for either method, where A^{-1} fits one block (n <= 128),
-  those whose RES stays above tol on an iterate formed with a dense inverse,
-  less a bound on its error that the paper's W (U for FPI) propagates
-  (:func:`_screen`). The columns left run in the direct block iteration.
+- :func:`grid_search` tabulates every grid point's iteration count: each column stops on its own when it
+  converges, diverges or reaches k_max.
+- :func:`grid_argmin` finds only the first grid point attaining the least count k*, the one grid_search
+  finds, and first drops the points that cannot win (:func:`_sweep` states its caps and rules).
 
 A grid with no converged point is a result, not an error: its best point is None.
 """
@@ -46,7 +28,7 @@ from .linalg import FactorHandle, _norm, _real, factorize, matvec
 from .params import (PAPER_OPTIMUM, fpi_least_steps, fpi_most_steps, range_fpi_new, range_fpi_old, range_sor_new,
                      rho_U)
 from .problems import AveProblem
-from .solvers import _residuals, check_method, check_stop_rule, iterate_block
+from .solvers import check_method, check_stop_rule, iterate_block
 
 
 def default_grid() -> np.ndarray:
@@ -66,14 +48,14 @@ class SweepResult:
 # Direct columns are run in chunks small enough that one n x chunk block of iterates stays below this many
 # bytes (one column when a single one is larger). A step keeps about ten such blocks alive, so this bounds the
 # memory a sweep adds; on lattices 8 and 32, blocks from 64 KiB to 32 MiB ran the sweep equally fast. The
-# Krylov pass forms its iterates x_k = V c_k for the sign check in pieces of the same bound.
+# Krylov pass forms its iterates x_k = V^T c_k for the sign check in pieces of the same bound.
 BLOCK_BYTES = 128 * 2**10
 
 # The Krylov sign check forms the iterate of one anchor column per run of this many neighbouring running
 # columns; the others pass on a bound from their anchor's iterate and are formed only where it misses.
 ANCHOR_RUN = 16
 
-# The dense-inverse screen (_screen) forms each p x n by n x n product in pieces of at most this many
+# The dense-inverse screen (_screen) forms each n x n by n x p product in pieces of at most this many
 # multiply-adds, below which OpenBLAS runs a gemm on one thread: a woken second thread would spin through the
 # rest of the step, and a 256-row piece at n = 64 took 18 ms of CPU for 9.7 ms of wall time.
 _ONE_THREAD_MADDS = 2**18
@@ -102,9 +84,10 @@ def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return h, w, float(np.linalg.norm(w))
 
 
-def _least_signed(C: np.ndarray, V: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
-    """min_i d_i x_i of every iterate x = c V, c a row of C, formed ``rows`` iterates at a time."""
-    return np.concatenate([np.min((C[i:i + rows] @ V) * d, axis=1) for i in range(0, len(C), rows)] or [[]])
+def _least_signed(C: np.ndarray, V: np.ndarray, d: np.ndarray, cols: int) -> np.ndarray:
+    """min_i d_i x_i of every iterate x = V^T c, c a column of C, formed ``cols`` iterates at a time, each as a
+    row: its minimum then runs along contiguous memory, where one over a tall n x cols block would not."""
+    return np.concatenate([np.min(C[:, i:i + cols].T @ V * d, axis=1) for i in range(0, C.shape[1], cols)] or [[]])
 
 
 def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -136,21 +119,20 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
 
     While every iterate keeps the sign pattern D = diag(sign u) of u = A^{-1} b, both iterations are
-    linear in x, and from zero start vectors x_k = V c_k and y_k = D V g_k lie in the Krylov space of
-    A^{-1} D and u, whatever the parameter w. Arnoldi builds V and H (A^{-1} D V = V H), one solve
-    per step, and every grid point advances as a row of coefficients:
+    linear in x, and from zero start vectors x_k = V^T c_k and y_k = D V^T g_k lie in the Krylov space of
+    A^{-1} D and u, whatever the parameter w. Arnoldi builds the rows of V and H (A^{-1} D V^T = V^T H),
+    one solve per step, and grid point j advances as column j of the m x p blocks C and G:
 
     - FPI: c_k = beta e_1 + H g_{k-1}, g_k = (1 - w) g_{k-1} + w c_k;
     - SOR: c_k = (1 - w) c_{k-1} + w (beta e_1 + H g_{k-1}), g_k = (1 - w) g_{k-1} + w c_k.
 
-    RES_k = ||R [-1; c_k]|| / norm_b, the direct RES's divisor, with Q R = [b, (A - D) V] grown one column per
-    step. A basis that stops growing spans an invariant space, in which H is exact and the iteration goes on.
+    RES_k = ||R [-1; c_k]|| / norm_b, the direct RES's divisor, with Q R = [b, (A - D) V^T] grown one column
+    per step. A basis that stops growing spans an invariant space, in which H is exact and the iteration goes on.
 
-    The direct iterate and its RES differ from these by rounding, at most about :func:`_margin`'s
-    margin_k = 2 k eps nu_hat ((||A|| + 1) ||x_k|| + ||b||), ||A|| the Gershgorin bound and nu_hat
-    the larger of 1 and an upper bound on nu = ||A^{-1}|| (``A.inv_norm_bound``):
-    each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||, and the
-    rounding of a residual. Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the
+    The direct iterate and its RES differ from these by rounding, at most about :func:`_margin`'s margin_k,
+    with ||A|| the Gershgorin bound and nu_hat the larger of 1 and an upper bound on nu = ||A^{-1}||
+    (``A.inv_norm_bound``): each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||,
+    and the rounding of a residual. Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the
     differences in x and in RES near tol stay below 4 % of that. Without a bound on nu no column is
     certified. A column's count stands (certified) only if at every step up to the one deciding it:
 
@@ -158,38 +140,32 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     - |RES_k - tol| exceeds margin_k / ||b||, so the direct RES is on the same side of tol;
     - its coefficients are finite and below _HEADROOM.
 
-    A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with
-    ``argmin``, at k*, the least step at which a certified column converges: no other column can
-    then beat it on count. The basis gains one vector per step until it is invariant (m = n at the
-    latest), so it holds m <= min(k, n) vectors, and all p grid points advance in one p x m block of
-    coefficient rows. :func:`_grown` doubles V, H, Q and R when V is full, up to min(k_max, n) rows,
-    and widens the rows by a zero column per new vector; zeros are calloc'd, so V costs memory only for
-    the vectors built, never k_max x n.
+    A column is decided at its first RES <= tol (count k), at k_max (not converged) or, with ``argmin``,
+    at k*, the least step at which a certified column converges: no other column can then beat it. The
+    basis gains one vector per step until it is invariant, so it holds m <= min(k, n) vectors.
+    :func:`_grown` doubles V, H, Q and R when V is full, up to min(k_max, n) rows, and widens C and G by
+    a zero row per new vector; zeros are calloc'd, so V costs memory only for the vectors built.
 
-    The sign check forms x_k = V c_k only for the first column a of each run of ANCHOR_RUN running
+    The sign check forms x_k = V^T c_k only for the first column a of each run of ANCHOR_RUN running
     columns (neighbouring grid points). For every i, |(x_j - x_a)_i| <= ||c_j - c_a|| ||V[:m, i]||, so a
     column j whose bound
 
         min_i d_i x_{a,i} - ||c_j - c_a|| max_i ||V[:m, i]|| - 4 (m + 1) eps (||c_j|| + ||c_a||)
 
     exceeds margin_k would pass the formed check too. The last term is the rounding slack: each of the
-    two products x = c V is formed to within m eps ||c|| ||V[:m, i]|| in any summation order, with
+    two products x = V^T c is formed to within m eps ||c|| ||V[:m, i]|| in any summation order, with
     ||V[:m, i]|| <= 1 for orthonormal rows, and the rest covers the bound's own norms and subtractions.
-    Only the columns that miss the bound are formed, in pieces of BLOCK_BYTES, so the certified set
-    is the one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result. Returns the
-    counts (k_max + 1 where not converged) and the certified mask; every other column is for
-    :func:`avesolve.solvers.iterate_block` to run.
+    Only the columns that miss the bound are formed, in pieces of BLOCK_BYTES, so the certified set is the
+    one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result. Returns the counts
+    (k_max + 1 where not converged) and the certified mask; every other column is for iterate_block.
     """
-    n, b, A = problem.n, problem.b, problem.A
-    p = len(grid)
+    n, b, A, p = problem.n, problem.b, problem.A, len(grid)
     its = np.full(p, k_max + 1)
     certified = np.zeros(p, dtype=bool)
     nu_bound, u, norm_A = start
-    if nu_bound is None:
+    if nu_bound is None or not u.any():  # no bound on nu, or b = 0, which the direct iteration reports
         return its, certified
     beta = float(np.linalg.norm(u))
-    if not beta > 0:
-        return its, certified  # b = 0: the direct iteration reports it
     d = np.sign(u)
     norm_b = problem.norm_b
     V, H = np.zeros((1, n)), np.zeros((1, 1))
@@ -206,9 +182,12 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
 
     add_residual_column(1)
     m, invariant = 1, False
-    sign_rows = max(1, BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
-    cols, w = np.arange(p), grid[:, None]
-    C = G = np.zeros((p, 1))
+    sign_cols = max(1, BLOCK_BYTES // (8 * n))  # iterates per piece of the sign check
+    cols, w = np.arange(p), grid
+    v, scale = 1.0 - w, (1.0 + w) * (norm_A + 1.0)
+    run = cols // ANCHOR_RUN
+    anchor = run * ANCHOR_RUN  # the first column of each column's run
+    C = G = np.zeros((1, p))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, k_max + 1):
             if m < k and not invariant:
@@ -226,25 +205,30 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
                     column_sq += V[m] ** 2
                     m += 1
                     add_residual_column(m)
-            S = G @ H[:m, :G.shape[1]].T
-            S[:, 0] += beta
-            if C.shape[1] < m:  # one more basis vector: widen the coefficient rows by a zero column
-                C, G = _grown(C, (len(C), m)), _grown(G, (len(G), m))
-            C = (1.0 - w) * C + w * S if method == "sor" else S
-            G = (1.0 - w) * G + w * C
-            # sqrt(np.add.reduce(X * X)) is np.linalg.norm(X, axis=1) for real X, bit for bit, without its checks
-            norm_x, norm_g = np.sqrt(np.add.reduce(C * C, axis=1)), np.sqrt(np.add.reduce(G * G, axis=1))
+            S = H[:m, :len(G)] @ G
+            S[0] += beta
+            if len(C) < m:  # one more basis vector: widen the coefficient columns by a zero row
+                C, G = _grown(C, (m, C.shape[1])), _grown(G, (m, G.shape[1]))
+            C = v * C + w * S if method == "sor" else S
+            G = v * G + w * C
+            # sqrt(np.add.reduce(X * X)) is np.linalg.norm(X, axis=0) for real X, bit for bit, without its checks
+            norm_x, norm_g = np.sqrt(np.add.reduce(C * C)), np.sqrt(np.add.reduce(G * G))
             margin = _margin(k, nu_bound, norm_A, norm_x, norm_b)
-            res = np.linalg.norm(C @ R[:m + 1, 1:m + 1].T - R[:m + 1, 0], axis=1) / norm_b
-            ok = (1.0 + w[:, 0]) * (norm_A + 1.0) * np.maximum(norm_x, norm_g) < _HEADROOM
+            E = R[:m + 1, 1:m + 1] @ C
+            E -= R[:m + 1, :1]
+            E *= E
+            res = np.sqrt(np.add.reduce(E)) / norm_b
+            del E
+            ok = scale * np.maximum(norm_x, norm_g) < _HEADROOM
             ok &= np.abs(res - tol) * norm_b > margin
-            run = np.arange(len(C)) // ANCHOR_RUN
-            anchor = run * ANCHOR_RUN  # the first row of each row's run
-            bound = (_least_signed(C[::ANCHOR_RUN], V[:m], d, sign_rows)[run]
-                     - np.linalg.norm(C - C[anchor], axis=1) * np.sqrt(column_sq.max())
+            E = C - np.take(C, anchor, axis=1)
+            E *= E
+            bound = (_least_signed(C[:, ::ANCHOR_RUN], V[:m], d, sign_cols)[run]
+                     - np.sqrt(np.add.reduce(E)) * np.sqrt(column_sq.max())
                      - 4 * (m + 1) * _EPS * (norm_x + norm_x[anchor]))
+            del E
             miss = ok & ~(bound > margin)
-            ok[miss] = _least_signed(C[miss], V[:m], d, sign_rows) > margin[miss]
+            ok[miss] = _least_signed(C[:, miss], V[:m], d, sign_cols) > margin[miss]
             good = ok & (res <= tol)
             its[cols[good]] = k
             done = ok if k == k_max or (argmin and good.any()) else good
@@ -253,7 +237,9 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
             if not keep.any():
                 break
             if not keep.all():
-                cols, w, C, G = cols[keep], w[keep], C[keep], G[keep]
+                cols, w, v, scale, C, G = cols[keep], w[keep], v[keep], scale[keep], C[:, keep], G[:, keep]
+                run = np.arange(len(cols)) // ANCHOR_RUN
+                anchor = run * ANCHOR_RUN
     return its, certified
 
 
@@ -299,8 +285,8 @@ def _fpi_cap(grid: np.ndarray, tol: float, k_max: int, nu_bound: float, res_1: f
 
 
 def _dense_inverse(problem: AveProblem, f: FactorHandle, nu_bound: float, norm_A: float,
-                   ) -> tuple[np.ndarray, float]:
-    """(M, s) for :func:`_screen`: M = f.solve(I), whose row i approximates A^{-1} e_i, and s, a bound on
+                   ) -> tuple[np.ndarray, float, float]:
+    """(M, s, ||M||_F) for :func:`_screen`: M = f.solve(I), whose row i approximates A^{-1} e_i, and s, a bound on
     ||fl(r M) - A^{-1} (y + b)|| / (||y|| + ||b||) for r = fl(y + b), any row y and nu_hat = max(1, nu_bound).
 
     r M - A^{-1} r = A^{-1} (A M^T - I) r, so with theta >= ||A M^T - I||_F, s_0 = nu_hat theta + 1.01 n eps ||M||_F
@@ -313,11 +299,11 @@ def _dense_inverse(problem: AveProblem, f: FactorHandle, nu_bound: float, norm_A
     M = f.solve(np.eye(n))
     norm_M = _norm(M.ravel())
     theta = _norm((matvec(problem.A, M) - np.eye(n)).ravel()) + 4 * n * _EPS * (norm_A * norm_M + math.sqrt(n))
-    return M, (1 + _EPS) * (nu_hat * theta + 1.01 * n * _EPS * norm_M) + nu_hat * _EPS
+    return M, (1 + _EPS) * (nu_hat * theta + 1.01 * n * _EPS * norm_M) + nu_hat * _EPS, norm_M
 
 
 def _screen(problem: AveProblem, method: str, params: np.ndarray, cap: int, tol: float,
-            inverse: tuple[np.ndarray, float], nu_bound: float, norm_A: float) -> np.ndarray:
+            inverse: tuple[np.ndarray, float, float], nu_bound: float, norm_A: float) -> np.ndarray:
     """Mask of the columns ``params`` whose direct RES stays above tol through step ``cap``, shown on the
     iterate that :func:`_dense_inverse`'s M gives in place of each solve and a bound on its error.
 
@@ -330,41 +316,46 @@ def _screen(problem: AveProblem, method: str, params: np.ndarray, cap: int, tol:
     - FPI: E^x_k = nu_hat E^y_{k-1} + s (||y~_{k-1}|| + ||b||) + rnd(x~_k, z~_k);
     - both: E^y_k = a E^y_{k-1} + w E^x_k + rnd(x~_k, y~_k),
 
-    which, substituted into each other, is the recursion of the paper's W (U for FPI). Every norm of a block
-    column is taken as sqrt(n) max_i |.|, per column. A column is dropped only if at every step k <= cap
+    which, substituted into each other, is the recursion of the paper's W (U for FPI). The norms of x~ and y~
+    are taken as sqrt(n) max_i |.|, per column, and that of z~ is bounded with no pass over it: entry i of
+    z~ = fl(r M), r = fl(y~ + b), lies within gamma_n = n eps / (1 - n eps) of sum_j |r_j| |M_ji| <= ||r|| ||M[:, i]||
+    in any summation order, so ||z~|| <= (1 + gamma_n) ||M||_F ||r|| <= (1 + gamma_n)(1 + eps) ||M||_F
+    (||y~_{k-1}|| + ||b||). A column is dropped only if at every step k <= cap
 
         RES~_k - [(||A|| + 1) E^x_k + 4 n eps ((||A|| + 1) ||x~_k|| + ||b||) + margin_k] / ||b|| > tol,
 
-    RES~_k the computed RES of x~_k, whose rounding the middle term covers, and margin_k :func:`_margin`'s at
-    ||x_k|| <= ||x~_k|| + E^x_k: the residual moves by at most (||A|| + 1) ||x~_k - x_k||. A non-finite value
-    keeps its column. Each product (y~ + b) M is formed in pieces of at most _ONE_THREAD_MADDS multiply-adds,
-    and a step releases z~ and |x~| once it has used them: the lattice 8 SOR argmin then peaks at no more
-    memory than iterate_block took for the same columns.
+    RES~_k the computed RES of x~_k, summed in the n x p block from the update's |x~_k| (the middle term
+    covers its rounding in any order), and margin_k :func:`_margin`'s at ||x_k|| <= ||x~_k|| + E^x_k: the
+    residual moves by at most (||A|| + 1) ||x~_k - x_k||. A non-finite value keeps its column.
     """
-    M, s = inverse
-    n, b, norm_b = problem.n, problem.b, problem.norm_b
+    M, s, norm_M = inverse
+    n, b, norm_b = problem.n, problem.b[:, None], problem.norm_b
     sor, nu_hat, root_n = method == "sor", max(1.0, nu_bound), math.sqrt(n)
     piece = max(1, _ONE_THREAD_MADDS // n**2)
-    # Grid point j is column j of each n x p block: a column's norm then reduces over contiguous rows, and
-    # A X takes the block as it is.
+    z_scale = (1.0 + n * _EPS / (1.0 - n * _EPS)) * (1.0 + _EPS) * norm_M
     cols, w = np.arange(len(params)), params
-    X = Y = np.zeros((n, len(params)))
+    X, Y = np.zeros((n, len(params))), np.zeros((n, len(params)))
     Ex = Ey = norm_y = np.zeros(len(params))
-    b = b[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cap + 1):
             v = 1.0 - w
             Z = np.empty_like(Y)
             for j in range(0, len(cols), piece):  # y~ + b is formed a piece at a time, never as a whole block
                 np.matmul(M.T, Y[:, j:j + piece] + b, out=Z[:, j:j + piece])
-            # sqrt(n) max_i |T_i| >= ||T||_2 of every column, with no BLAS call
-            norm_z = root_n * np.abs(Z).max(axis=0)
-            X = v * X + w * Z if sor else Z
+            norm_z = z_scale * (norm_y + norm_b)
+            X = np.add(np.multiply(v, X, out=X), np.multiply(w, Z, out=Z), out=X) if sor else Z  # v X + w Z
             del Z
             abs_x = np.abs(X)
             norm_x = root_n * abs_x.max(axis=0)
+            R = problem.A.csr @ X
+            R -= abs_x
+            R -= b
+            R *= R
+            res = np.sqrt(np.add.reduce(R)) / norm_b
+            del R
             z_error = nu_hat * Ey + s * (norm_y + norm_b)  # bounds ||z~_k - z_k||, norm_y still of y~_{k-1}
-            Y = v * Y + w * abs_x
+            Y *= v
+            Y += np.multiply(w, abs_x, out=abs_x)
             del abs_x
             norm_y = root_n * np.abs(Y).max(axis=0)
             a, rnd = np.abs(v), 3 * _EPS * (1.0 + w)
@@ -372,7 +363,7 @@ def _screen(problem: AveProblem, method: str, params: np.ndarray, cap: int, tol:
             Ey = a * Ey + w * Ex + rnd * np.maximum(norm_x, norm_y)
             slack = ((norm_A + 1.0) * Ex + 4 * n * _EPS * ((norm_A + 1.0) * norm_x + norm_b)
                      + _margin(k, nu_hat, norm_A, norm_x + Ex, norm_b))
-            above = _residuals(problem, X.T) - slack / norm_b > tol
+            above = res - slack / norm_b > tol
             if not above.all():
                 cols, w, X, Y = cols[above], w[above], X[:, above], Y[:, above]
                 Ex, Ey, norm_y = Ex[above], Ey[above], norm_y[above]
@@ -395,12 +386,13 @@ def _sweep(
     """The validated grid, its iteration counts (sentinel where not converged), the sentinel and
     (best_param, min_it) of the first grid point attaining the least count, None if none converged.
 
-    The Krylov path decides the columns it certifies; the rest run in iterate_block from zero, one call
-    per chunk of BLOCK_BYTES of iterates, up to k_max or, with ``argmin``, up to the K, k* or k* - 1 cap
-    that the module docstring states.
-
-    With ``argmin``, a chunk then drops, by two rules, the columns that cannot converge through its cap,
-    and so cannot win. A full table prunes nothing: it needs every count.
+    The Krylov pass decides the columns it certifies; the rest run in iterate_block from zero, one call per
+    chunk of BLOCK_BYTES of iterates, up to k_max. With ``argmin`` the pass stops at k* or at a cap K, which
+    is k_max but for FPI with nu_hat < 1, where :func:`_fpi_cap` takes K >= k* from the paper's k_up. A
+    direct chunk then runs at most k* steps if it starts before the grid point attaining k* (it can still
+    tie and win on index), at most k* - 1 if it starts after it (K while none is certified), and not at all
+    when that is 0. It first drops, by two rules, the columns that cannot converge through its cap, and so
+    cannot win. A full table prunes nothing: it needs every count.
 
     - FPI with nu_hat < 1: the columns whose RES floor (:func:`avesolve.params.fpi_least_steps`, less
       rounding: :func:`_beyond_floor`) stays above tol. The same rule first runs on the whole grid at cap
@@ -415,7 +407,7 @@ def _sweep(
       inverse M = f.solve(I), formed once per search for the first chunk it sees, in place of the
       factor-solves, with a W-propagated bound on how far that iterate lies from the exact one. On lattice
       8 it drops all 573 SOR fallback columns (w >= 1.427, RES >= 0.43 through step 11) for 64 solve
-      columns, where the direct path took 5 730.
+      columns, where the direct path took 5 730, and on lattice 11 all 537.
 
     Every column left runs in iterate_block exactly as without the rules.
     """
@@ -442,7 +434,7 @@ def _sweep(
     its[live] = np.where(counts <= cap, counts, sentinel)
     rest = live[~certified]
     screen = argmin and 8 * problem.n**2 <= BLOCK_BYTES and nu_bound is not None and u.any()
-    inverse = None  # _dense_inverse's (M, s), formed for the first chunk the screen sees
+    inverse = None  # _dense_inverse's (M, s, ||M||_F), formed for the first chunk the screen sees
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n))):
         cols = rest[chunk]

@@ -91,10 +91,10 @@ class TestResidual:
             solvers.iterate_block(p, f, method, params, 1e-8, 100, x0, y0)
 
     def test_iterate_block_rejects_factor_of_other_size(self, lattice8):
-        # The factor's own solve rejects the block at the first step.
+        # Rejected at entry, before any step: the loop's solves are not checked.
         p, _ = lattice8
         zeros = np.zeros(p.n)
-        with pytest.raises(DimensionMismatch, match=r"right-hand side has shape \(1, 64\), expected \(16,\)"):
+        with pytest.raises(DimensionMismatch, match="factorization dimension differs from matrix dimension"):
             solvers.iterate_block(p, factorize(gen_lattice(4).A), "fpi", [1.0], 1e-8, 100, zeros, zeros)
 
 
@@ -207,6 +207,75 @@ class TestEquivalenceAtOptimum:
         for (xs, ys), (xf, yf) in zip(sor_iters, fpi_iters):
             assert np.array_equal(xs, xf)
             assert np.array_equal(ys, yf)
+
+
+def _reference_column(problem, f, method, w, tol, k_max):
+    """One column of iterate_block as a plain loop from zero: its stop (iterations, converged, diverged, res)
+    and (x, y, res) after every update."""
+    x = y = np.zeros(problem.n)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            z = f.solve(y + problem.b)
+            x = (1.0 - w) * x + w * z if method == "sor" else z
+            y = (1.0 - w) * y + w * np.abs(x)
+            res = residual(problem, x)
+            seen.append((x, y, res))
+            diverged = not (np.isfinite(x).all() and np.isfinite(y).all())
+            if diverged or res <= tol or k == k_max:
+                return (k, not diverged and res <= tol, diverged, res), seen
+
+
+@pytest.mark.parametrize("method, converging", [("sor", 1.0), ("fpi", 0.961)])
+def test_block_stops_match_a_per_column_loop(lattice8, method, converging):
+    # At w = 1e4 the iterates grow by about 1e4 per update: for about 20 (SOR) or 38 (FPI) updates RES
+    # overflows to inf while x and y stay finite, and the column runs on; then y overflows while x is
+    # finite, and the column stops as diverged at that update. The converging column stops at RES <= tol.
+    # iterate_block skips the exact test of x while every res is finite; its stops and every observed
+    # iterate must still be those of the plain loop, bit for bit, alone (p = 1) and in one block (p = 2).
+    p, f = lattice8
+    params = [converging, 1e4]
+    reference = [_reference_column(p, f, method, w, 1e-8, 100) for w in params]
+    (k, converged, diverged, res), seen = reference[0]
+    assert converged and not diverged and res <= 1e-8 and k == 11
+    (k, converged, diverged, _), seen = reference[1]
+    assert diverged and not converged and k < 100
+    assert np.isfinite(seen[-1][0]).all() and not np.isfinite(seen[-1][1]).all()
+    assert sum(np.isinf(r) and np.isfinite(x).all() and np.isfinite(y).all() for x, y, r in seen) > 15
+    zeros = np.zeros(p.n)
+    for block in ([0], [1], [0, 1]):
+        observed, updates = [[] for _ in block], []
+
+        def observe(X, Y, res):
+            updates.append(len(res))
+            k = len(updates)  # the rows still running: the columns the loop has not stopped before update k
+            running = [j for j, column in enumerate(block) if reference[column][0][0] >= k]
+            assert len(running) == len(res)
+            for i, j in enumerate(running):
+                observed[j].append((X[i].copy(), Y[i].copy(), res[i]))
+
+        stops = solvers.iterate_block(p, f, method, [params[j] for j in block], 1e-8, 100, zeros, zeros, observe)
+        for j, column in enumerate(block):
+            stop, seen = reference[column]
+            got = (stops.iterations[j], stops.converged[j], stops.diverged[j], stops.res[j])
+            assert got[:3] == stop[:3] and np.float64(got[3]).tobytes() == np.float64(stop[3]).tobytes()
+            assert len(observed[j]) == len(seen)
+            for (x, y, r), (x_ref, y_ref, r_ref) in zip(observed[j], seen):
+                assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+                assert np.float64(r).tobytes() == np.float64(r_ref).tobytes()
+
+
+def test_report_keeps_its_final_iterate(lattice8):
+    # The report holds views of the last observed rows; no later solve may write into them.
+    p, f = lattice8
+    report = solve_fpi(p, f, SolveConfig(0.961))
+    x, y = report.x.copy(), report.y.copy()
+    _, seen = _reference_column(p, f, "fpi", 0.961, 1e-8, 100)
+    solve_fpi(p, f, SolveConfig(1.3))
+    solve_sor_like(p, f, SolveConfig(1.0))
+    solvers.iterate_block(p, f, "sor", [0.5, 1.0, 1e4], 1e-8, 100, np.zeros(p.n), np.zeros(p.n))
+    assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
+    assert report.x.tobytes() == seen[-1][0].tobytes() and report.y.tobytes() == seen[-1][1].tobytes()
 
 
 def _outcome(problem, f, method, k_max, x0, y0):

@@ -180,13 +180,13 @@ class TestGridArgmin:
         if direct:
             monkeypatch.setattr(SparseSpdMatrix, "inv_norm_bound", property(lambda A: None))
         columns = []
-        solve = linalg.FactorHandle.solve
+        solve = linalg.FactorHandle._solve
 
         def counting_solve(self, r):
             columns.append(len(r) if np.ndim(r) == 2 else 1)
             return solve(self, r)
 
-        monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
+        monkeypatch.setattr(linalg.FactorHandle, "_solve", counting_solve)
         assert grid_argmin(p, method, f=f) == {"fpi": (0.961, 11), "sor": (0.981, 11)}[method]
         assert sum(columns) < limit
 
@@ -410,11 +410,15 @@ def test_lattice8_fpi_argmin_drops_points_before_the_krylov_pass(lattice8, monke
 @example(_lattice8_scaled(), "fpi", default_grid(), 1e-8, 100)
 @example(build_rhs(trefethen_b(20), alternating_xstar(19)), "sor", default_grid(), 1e-8, 100)
 @example(build_rhs(trefethen_b(20), alternating_xstar(19)), "fpi", default_grid(), 1e-8, 100)
+@example(gen_lattice(11), "sor", default_grid(), 1e-8, 100)
+@example(gen_lattice(11), "fpi", default_grid(), 1e-8, 100)
 def test_screen_drops_no_converging_column(problem, method, grid, tol, k_max):
     # Every column the dense-inverse screen drops keeps its direct RES above tol through the cap of its chunk:
     # its direct count exceeds the cap. Lattice 8 drops all 573 SOR fallback columns; lattice 8 x 0.1, where
     # nu_hat = 2.5 > 1 widens every error bound, drops most of its SOR and FPI ones; Trefethen_20b, factored in
-    # reverse Cuthill-McKee order, drops 740 (SOR) and 461 (FPI). The argmin stays that of the direct counts.
+    # reverse Cuthill-McKee order, drops 740 (SOR) and 461 (FPI). Lattice 11 (n = 121) is the largest n the
+    # screen takes: 135-column chunks, multiplied in 17-column pieces; it drops all 537 SOR fallback columns.
+    # The argmin stays that of the direct counts.
     f = factorize(problem.A)
     counts = _direct_counts(problem, f, method, grid, tol, k_max)
     direct = dict(zip(grid.tolist(), counts.tolist()))
@@ -430,6 +434,43 @@ def test_screen_drops_no_converging_column(problem, method, grid, tol, k_max):
         best = grid_argmin(problem, method, grid=grid, tol=tol, k_max=k_max, f=f)
     assert all(direct[param] > cap for param, cap in dropped)
     assert best == (None if counts.min() > k_max else (float(grid[np.argmin(counts)]), int(counts.min())))
+
+
+@pytest.mark.parametrize("m", [8, 11])
+def test_screen_bounds_the_norm_of_z(m):
+    # The screen bounds ||z~|| = ||fl(fl(y~ + b) M)|| by (1 + gamma_n)(1 + eps) ||M||_F (||y~|| + ||b||) instead
+    # of forming it (its docstring derives this). Check the bound against the formed 2-norm of every column
+    # z~ on the y~ of every grid point, both methods, through 20 updates: converging, slow and diverging ones.
+    p = gen_lattice(m)
+    f = factorize(p.A)
+    nu_bound, _, norm_A = sweep._krylov_start(p, f)
+    M, _, norm_M = sweep._dense_inverse(p, f, nu_bound, norm_A)
+    eps, n = np.finfo(np.float64).eps, p.n
+    scale = (1 + n * eps / (1 - n * eps)) * (1 + eps) * norm_M
+    checked = []
+
+    def observe(X, Y, res):
+        Z = M.T @ (Y.T + p.b[:, None])
+        bound = scale * (np.linalg.norm(Y, axis=1) + p.norm_b)
+        finite = np.isfinite(bound)
+        assert (np.linalg.norm(Z, axis=0)[finite] <= bound[finite]).all()
+        checked.append(finite.sum())
+
+    zeros = np.zeros(n)
+    for method in ("sor", "fpi"):
+        solvers.iterate_block(p, f, method, default_grid(), 1e-8, 20, zeros, zeros, observe)
+    assert sum(checked) > 20_000
+
+
+@pytest.mark.parametrize("method, argmin, expected", [("sor", False, 1414), ("fpi", False, 1717), ("sor", True, 1426),
+                                                      ("fpi", True, 1859)], ids=["sor", "fpi", "sor-argmin", "fpi-argmin"])
+def test_lattice8_certified_points(lattice8, method, argmin, expected):
+    # The certificate, pinned: on the default grid at 1e-8/100 the Krylov pass certifies exactly these many
+    # grid points. A change of block layout, summation order or margin that moves one shows here.
+    p, f = lattice8
+    start = sweep._krylov_start(p, f)
+    _, certified = sweep._krylov_counts(p, f, method, default_grid(), 1e-8, 100, argmin, start)
+    assert certified.sum() == expected
 
 
 class TestKrylovPath:
@@ -519,13 +560,13 @@ class TestKrylovPath:
         # are dropped with the other points tau >= 1.728 before the pass, and no direct chunk runs.
         p, f = lattice8
         columns = []
-        solve = linalg.FactorHandle.solve
+        solve = linalg.FactorHandle._solve
 
         def counting_solve(self, r):
             columns.append(len(r) if np.ndim(r) == 2 else 1)
             return solve(self, r)
 
-        monkeypatch.setattr(linalg.FactorHandle, "solve", counting_solve)
+        monkeypatch.setattr(linalg.FactorHandle, "_solve", counting_solve)
         assert grid_argmin(p, "fpi", f=f) == (0.961, 11)
         assert sum(columns) < 100
 
