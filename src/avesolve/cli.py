@@ -19,9 +19,9 @@ import time
 
 import numpy as np
 
-from .errors import AveError, DomainError
+from .errors import AveError
 from .linalg import estimate_inv_norm, factorize
-from .params import PAPER_OPTIMUM, ParamEnvelope, _check_positive
+from .params import PAPER_OPTIMUM, ParamEnvelope, _check_positive, chen_opt_omega
 from .problems import AveProblem, alternating_xstar, build_rhs, gen_lattice, load_matrix_market
 from .solvers import SolveConfig, check_stop_rule, solve_fpi, solve_sor_like
 from .sweep import domain_curves, grid_argmin, grid_search
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="multi-method table over a problem list")
     p.add_argument("--lattice", type=int, action="append", default=[], metavar="M")
     p.add_argument("--matrix", action="append", default=[], metavar="NAME")
-    p.add_argument("--matrix-dir", default=None, help="directory for --matrix files (or env AVE_MATRIX_DIR)")
+    p.add_argument("--matrix-dir", default=None, help="directory for --matrix files")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--kmax", type=int, default=100)
     _add_output_flags(p)
@@ -238,24 +238,19 @@ def _resolve_matrix(name: str, matrix_dir: str | None) -> str:
 
 
 def cmd_bench(args) -> int:
-    matrix_dir = args.matrix_dir or os.environ.get("AVE_MATRIX_DIR")
     jobs = [(f"lattice{m}", m, None) for m in args.lattice] + [(name, None, name) for name in args.matrix]
     rows = []
     for prob_name, lattice, matrix in jobs:
         try:
-            problem = _load_problem(lattice, matrix and _resolve_matrix(matrix, matrix_dir))
+            problem = _load_problem(lattice, matrix and _resolve_matrix(matrix, args.matrix_dir))
             f = factorize(problem.A)
-            # A Gershgorin bound lo >= 4 gives nu <= 1/lo <= 1/4, where omega_Chen is 1 (params.chen_opt_omega).
-            lo = problem.A.gershgorin[0]
-            nu = 1.0 / lo if lo >= 4.0 else estimate_inv_norm(problem.A, f=f)
+            # A bound nu <= 1/4 settles omega_Chen = 1 (params.chen_opt_omega) without estimating nu.
+            bound = problem.A.inv_norm_bound
+            nu = bound if bound is not None and bound <= 0.25 else estimate_inv_norm(problem.A, f=f)
         except _FAILURES as exc:
             print(f"notice: {prob_name}: {exc}, row skipped", file=sys.stderr)
             continue
-        try:
-            omega_chen = ParamEnvelope.from_nu(nu).omega_chen_opt
-        except DomainError:
-            # nu >= 1: the sufficient theory gives no parameter, but the solvers still run.
-            omega_chen = None
+        omega_chen = chen_opt_omega(nu) if nu < 1 else None  # nu >= 1: no theory parameter; the solvers still run
         for label, method, spec in BENCH_ROWS:
             row = {"problem": prob_name, "method": label, "param": "-", "it": "-", "cpu": "-", "res": "-"}
             spec = omega_chen if spec == "chen" else spec

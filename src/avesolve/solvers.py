@@ -146,9 +146,7 @@ def iterate_block(
             res = _residuals(problem, X, abs_x)
             if observe is not None:
                 observe(X, Y, res)
-            bad = ~np.isfinite(Y).all(axis=1)
-            if not np.isfinite(res).all():  # a non-finite entry of x makes res non-finite: only then test X
-                bad |= ~np.isfinite(X).all(axis=1)
+            bad = ~np.isfinite(Y).all(axis=1)  # y = (1 - w) y + w |x| is non-finite wherever x is, for any w
             good = ~bad & (res <= tol)
             stop = bad | good | (k == k_max)
             if not stop.any():

@@ -97,14 +97,16 @@ def _grown(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return Y
 
 
-def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float | None, np.ndarray | None, float | None]:
+def _krylov_start(problem: AveProblem, f: FactorHandle) -> tuple[float, np.ndarray, float] | None:
     """(nu_hat, u = A^{-1} b, ||A||), what the Krylov pass, the FPI floor and the screen start from: an upper
-    bound on nu (``A.inv_norm_bound``, taken once per matrix) and, where there is one, the solve and the upper
-    end of ``A.gershgorin``, which inv_norm_bound has read, as the bound on ||A||; (None, None, None) without."""
+    bound on nu (``A.inv_norm_bound``, taken once per matrix), the solve and the upper end of ``A.gershgorin``,
+    which inv_norm_bound has read, as the bound on ||A||. None, decided here alone, where none of them can run:
+    without a bound on nu, or for u = 0 (b = 0), which the direct iteration reports."""
     nu_bound = problem.A.inv_norm_bound
     if nu_bound is None:
-        return None, None, None
-    return nu_bound, f.solve(problem.b), problem.A.gershgorin[1]
+        return None
+    u = f.solve(problem.b)
+    return (nu_bound, u, problem.A.gershgorin[1]) if u.any() else None
 
 
 def _margin(k: int, nu_bound: float, norm_A: float, norm_x: float | np.ndarray, norm_b: float) -> float | np.ndarray:
@@ -114,8 +116,7 @@ def _margin(k: int, nu_bound: float, norm_A: float, norm_x: float | np.ndarray, 
 
 
 def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.ndarray, tol: float, k_max: int,
-                   argmin: bool, start: tuple[float | None, np.ndarray | None, float | None],
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   argmin: bool, start: tuple[float, np.ndarray, float] | None) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts of the grid points whose direct iterates one Krylov basis certifies.
 
     While every iterate keeps the sign pattern D = diag(sign u) of u = A^{-1} b, both iterations are
@@ -133,8 +134,8 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     with ||A|| the Gershgorin bound and nu_hat the larger of 1 and an upper bound on nu = ||A^{-1}||
     (``A.inv_norm_bound``): each step adds a backward-stable solve, whose error is about eps ||A|| nu ||x_k||,
     and the rounding of a residual. Measured on lattices 8 and 32 and Trefethen 200b and 2000b, the
-    differences in x and in RES near tol stay below 4 % of that. Without a bound on nu no column is
-    certified. A column's count stands (certified) only if at every step up to the one deciding it:
+    differences in x and in RES near tol stay below 4 % of that. A column's count stands (certified) only if
+    at every step up to the one deciding it:
 
     - every d_i x_i exceeds margin_k, so the direct iterate has the signs of D;
     - |RES_k - tol| exceeds margin_k / ||b||, so the direct RES is on the same side of tol;
@@ -156,15 +157,16 @@ def _krylov_counts(problem: AveProblem, f: FactorHandle, method: str, grid: np.n
     two products x = V^T c is formed to within m eps ||c|| ||V[:m, i]|| in any summation order, with
     ||V[:m, i]|| <= 1 for orthonormal rows, and the rest covers the bound's own norms and subtractions.
     Only the columns that miss the bound are formed, in pieces of BLOCK_BYTES, so the certified set is the
-    one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result. Returns the counts
-    (k_max + 1 where not converged) and the certified mask; every other column is for iterate_block.
+    one the formed check alone gives. ``start`` is :func:`_krylov_start`'s result; where it is None (no bound
+    on nu, or b = 0) no column is certified. Returns the counts (k_max + 1 where not converged) and the
+    certified mask; every other column is for iterate_block.
     """
     n, b, A, p = problem.n, problem.b, problem.A, len(grid)
     its = np.full(p, k_max + 1)
     certified = np.zeros(p, dtype=bool)
-    nu_bound, u, norm_A = start
-    if nu_bound is None or not u.any():  # no bound on nu, or b = 0, which the direct iteration reports
+    if start is None:
         return its, certified
+    nu_bound, u, norm_A = start
     beta = float(np.linalg.norm(u))
     d = np.sign(u)
     norm_b = problem.norm_b
@@ -392,7 +394,8 @@ def _sweep(
     direct chunk then runs at most k* steps if it starts before the grid point attaining k* (it can still
     tie and win on index), at most k* - 1 if it starts after it (K while none is certified), and not at all
     when that is 0. It first drops, by two rules, the columns that cannot converge through its cap, and so
-    cannot win. A full table prunes nothing: it needs every count.
+    cannot win. A full table prunes nothing: it needs every count. Like the Krylov pass, both rules need
+    :func:`_krylov_start`'s result, tested once here: neither runs where it is None (no bound on nu, or b = 0).
 
     - FPI with nu_hat < 1: the columns whose RES floor (:func:`avesolve.params.fpi_least_steps`, less
       rounding: :func:`_beyond_floor`) stays above tol. The same rule first runs on the whole grid at cap
@@ -402,12 +405,12 @@ def _sweep(
       error e^x_k = (1 - w) e^x_{k-1} + w A^{-1} e^y_{k-1} can vanish while e^y_k does not, so no bound on
       ||(e^x, e^y)|| alone keeps RES_k above tol (the triangle inequality gives a negative rate,
       |1 - w| - w (nu + |1 - w| + w nu) = -1.19 at w = 1.5, nu = 0.25).
-    - Either method with a bound on nu, where A^{-1} fits one block (8 n^2 <= BLOCK_BYTES, so n <= 128): the
-      columns that :func:`_screen` shows to stay above tol. It runs every column of the chunk on a dense
-      inverse M = f.solve(I), formed once per search for the first chunk it sees, in place of the
-      factor-solves, with a W-propagated bound on how far that iterate lies from the exact one. On lattice
-      8 it drops all 573 SOR fallback columns (w >= 1.427, RES >= 0.43 through step 11) for 64 solve
-      columns, where the direct path took 5 730, and on lattice 11 all 537.
+    - Either method, where A^{-1} fits one block (8 n^2 <= BLOCK_BYTES, so n <= 128): the columns that
+      :func:`_screen` shows to stay above tol. It runs every column of the chunk on a dense inverse
+      M = f.solve(I), formed once per search where the pass leaves any column, in place of the factor-solves,
+      with a W-propagated bound on how far that iterate lies from the exact one. On lattice 8 it drops all
+      573 SOR fallback columns (w >= 1.427, RES >= 0.43 through step 11) for 64 solve columns, where the
+      direct path took 5 730, and on lattice 11 all 537.
 
     Every column left runs in iterate_block exactly as without the rules.
     """
@@ -422,10 +425,13 @@ def _sweep(
         f = factorize(problem.A)
     sentinel = k_max + 1
     start = _krylov_start(problem, f)
-    nu_bound, u, norm_A = start
     live, cap = np.arange(len(grid)), k_max
-    prune = argmin and method == "fpi" and nu_bound is not None and nu_bound < 1 and u.any()
-    if prune:  # u = 0 only for b = 0, which the direct iteration reports
+    prune = screen = False
+    if start is not None:
+        nu_bound, u, norm_A = start
+        prune = argmin and method == "fpi" and nu_bound < 1
+        screen = argmin and 8 * problem.n**2 <= BLOCK_BYTES
+    if prune:
         res_1 = float(np.linalg.norm(u) / problem.norm_b)
         cap = _fpi_cap(grid, tol, k_max, nu_bound, res_1, norm_A)
         live = live[~_beyond_floor(grid, cap, tol, nu_bound, res_1, norm_A)]
@@ -433,8 +439,7 @@ def _sweep(
     counts, certified = _krylov_counts(problem, f, method, grid[live], tol, cap, argmin, start)
     its[live] = np.where(counts <= cap, counts, sentinel)
     rest = live[~certified]
-    screen = argmin and 8 * problem.n**2 <= BLOCK_BYTES and nu_bound is not None and u.any()
-    inverse = None  # _dense_inverse's (M, s, ||M||_F), formed for the first chunk the screen sees
+    inverse = _dense_inverse(problem, f, nu_bound, norm_A) if screen and len(rest) else None
     zeros = np.zeros(problem.n)
     for chunk in _chunks(grid[rest], max(1, BLOCK_BYTES // (8 * problem.n))):
         cols = rest[chunk]
@@ -442,13 +447,13 @@ def _sweep(
         if argmin:
             best = int(np.argmin(its))  # k* = its[best], the least count so far
             last = min(last, int(its[best]) if cols[0] < best else int(its[best]) - 1)
-        if prune and last > 0:
+        if last == 0:
+            continue
+        if prune:
             cols = cols[~_beyond_floor(grid[cols], last, tol, nu_bound, res_1, norm_A)]
-        if screen and last > 0 and len(cols):
-            if inverse is None:
-                inverse = _dense_inverse(problem, f, nu_bound, norm_A)
+        if inverse is not None and len(cols):
             cols = cols[~_screen(problem, method, grid[cols], last, tol, inverse, nu_bound, norm_A)]
-        if last > 0 and len(cols):
+        if len(cols):
             stops = iterate_block(problem, f, method, grid[cols], tol, last, zeros, zeros)
             its[cols] = np.where(stops.converged, stops.iterations, sentinel)
     best = int(np.argmin(its))

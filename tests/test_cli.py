@@ -308,7 +308,7 @@ class TestBench:
         assert [row[:2] for row in rows] == [["lattice2", label] for label, _, _ in cli.BENCH_ROWS]
         assert err.startswith(f"notice: {path}: ") and err.endswith(", row skipped\n")
 
-    def test_matrix_dir_env(self, tmp_path, tref20b):
+    def test_matrix_dir(self, tmp_path, tref20b):
         save_matrix_market(tref20b, tmp_path / "Trefethen_20b.mtx")
         r = run_cli("bench", "--matrix", "Trefethen_20b",
                     "--matrix-dir", str(tmp_path), "--format", "csv")
@@ -343,7 +343,7 @@ class TestBench:
         rc, out = run_main(capsys, "ranges", "--matrix", str(path), "--format", "json")
         assert rc == 0
         assert 1 - 1e-7 < json.loads(out)["omega_chen_opt"] <= 1
-        # Lattice 4's Gershgorin bound lo = 4 settles omega_Chen = 1; this file's lo = 3.99999984 does not.
+        # Lattice 4's A.inv_norm_bound = 1/4 settles omega_Chen = 1; this file's 1/3.99999984 does not.
         estimate, estimated = cli.estimate_inv_norm, []
 
         def spy(A, f=None):
@@ -360,7 +360,7 @@ class TestBench:
 
     def test_lattice8_json_matches_golden_file(self, monkeypatch, capsys):
         # tests/data holds `ave bench --lattice 8 --format json` with its timings (cpu) removed. Lattice 8's
-        # Gershgorin bound lo = 4 gives nu <= 1/4, so omega_Chen = 1 is taken without estimating nu.
+        # A.inv_norm_bound = 1/lo = 1/4 (Gershgorin lo = 4), so omega_Chen = 1 is taken without estimating nu.
         def no_estimate(*args, **kwargs):
             raise AssertionError("nu estimated")
 

@@ -237,7 +237,7 @@ def test_searches_match_per_column_direct_iteration(problem, method, grid, tol, 
 
 
 def test_bench_takes_the_gershgorin_interval_once_per_matrix(monkeypatch, capsys):
-    # Lattice 8's A.gershgorin is read by cmd_bench's omega_Chen shortcut and, through inv_norm_bound, by the
+    # Lattice 8's A.gershgorin is read by A.inv_norm_bound, which cmd_bench takes for omega_Chen, and by the
     # _krylov_start of both grid searches, which keeps its upper end as the bound on ||A||. It is computed once.
     computed, starts = [], []
     interval = SparseSpdMatrix.gershgorin.func
@@ -283,9 +283,10 @@ def test_fpi_floor_prunes_no_converging_column(problem, grid, tol, k_max):
     # steps its chunk may take. With nu_hat missing or >= 1 (lattice 8 x 0.1: nu_hat = 2.5) nothing is dropped.
     f = factorize(problem.A)
     direct = dict(zip(grid.tolist(), _direct_counts(problem, f, "fpi", grid, tol, k_max).tolist()))
-    nu_bound, u, _ = sweep._krylov_start(problem, f)
-    floor = nu_bound is not None and nu_bound < 1
+    start = sweep._krylov_start(problem, f)
+    floor = start is not None and start[0] < 1
     if floor:
+        nu_bound, u, _ = start
         res_1 = np.linalg.norm(u) / np.linalg.norm(problem.b)
         for tau, count in direct.items():
             if count <= k_max:
@@ -325,10 +326,11 @@ def test_fpi_counts_lie_between_the_paper_bounds(problem, tau, tol, k_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_krylov_counts", spy)
         best = grid_argmin(problem, "fpi", tol=tol, k_max=k_max, f=f)
-    nu_bound, u, _ = sweep._krylov_start(problem, f)
-    if nu_bound is None or nu_bound >= 1:
+    start = sweep._krylov_start(problem, f)
+    if start is None or start[0] >= 1:
         assert caps == [k_max]
         return
+    nu_bound, u, _ = start
     assert best is not None and best[1] <= caps[0] or best is None and caps[0] == k_max
     assume(range_fpi_new(nu_bound).contains(tau))
     res_1 = np.linalg.norm(u) / problem.norm_b
@@ -460,6 +462,27 @@ def test_screen_bounds_the_norm_of_z(m):
     for method in ("sor", "fpi"):
         solvers.iterate_block(p, f, method, default_grid(), 1e-8, 20, zeros, zeros, observe)
     assert sum(checked) > 20_000
+
+
+@pytest.mark.parametrize("nu_bound", [0.25, 1.0, 2.5])
+def test_margin_scales_with_nu_hat(nu_bound):
+    # margin_k grows with nu_hat = max(1, nu_bound): each step's solve errs by about eps ||A|| nu ||x_k||. With 1 in
+    # place of nu_hat, lattice 8 x 0.1 (nu_hat = 2.5) still certifies 301 FPI and 640 SOR points and keeps both
+    # argmins, so only a check of the factor itself sees it.
+    norm_x = np.array([0.0, 1.0, 3e5])
+    for k in (1, 11, 100):
+        scaled = max(1.0, nu_bound) * sweep._margin(k, 1.0, 12.0, norm_x, 2.0)
+        assert sweep._margin(k, nu_bound, 12.0, norm_x, 2.0) == pytest.approx(scaled, rel=1e-15, abs=0)
+
+
+def test_dense_inverse_bound_grows_with_nu_hat():
+    # The screen's s = (1 + eps)(nu_hat theta + 1.01 n eps ||M||_F) + nu_hat eps bounds the error of each product
+    # r M: on lattice 8 x 0.1 it grows with nu_hat = max(1, nu_bound), and below nu_bound = 1 it is that of 1.
+    p = _lattice8_scaled()
+    f = factorize(p.A)
+    nu_bound, _, norm_A = sweep._krylov_start(p, f)
+    s = [sweep._dense_inverse(p, f, nu, norm_A)[1] for nu in (0.5, 1.0, nu_bound, 2 * nu_bound)]
+    assert nu_bound > 2 and s[0] == s[1] < s[2] < s[3]
 
 
 @pytest.mark.parametrize("method, argmin, expected", [("sor", False, 1414), ("fpi", False, 1717), ("sor", True, 1426),
